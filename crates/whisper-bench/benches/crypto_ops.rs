@@ -103,125 +103,22 @@ fn bench_onion(c: &mut Bench) {
 /// source, one stripped per hop. Compare with `onion/build_3_layers` and
 /// `onion/peel_one_layer` to see what circuit caching removes.
 fn bench_circuit(c: &mut Bench) {
-    /// Queued packets per relay in the batched-peel cell — the shared
-    /// key-schedule expansion amortizes across this many bodies.
-    const BATCH: usize = 16;
-    {
-        let mut group = c.group("circuit");
-        let mut rng = StdRng::seed_from_u64(9);
-        let (source, setups) = circuit::establish(3, &mut rng);
-        let nonce0 = CtrNonce::random(&mut rng);
-        for size in [256usize, 1024, 4096] {
-            let payload = vec![0xCDu8; size];
-            group.throughput(Throughput::Bytes(size as u64));
-            group.bench_function(format!("seal_3_layers/{size}B"), |b| {
-                b.iter(|| circuit::seal_layers(&source.keys, &nonce0, &payload))
-            });
-            let sealed = circuit::seal_layers(&source.keys, &nonce0, &payload);
-            group.bench_function(format!("peel_one_layer/{size}B"), |b| {
-                b.iter(|| circuit::peel_layer(&setups[0].key, &nonce0, &sealed))
-            });
-            // Batched peels: one key-schedule expansion shared across a
-            // relay's whole queue. CTR is an involution, so re-peeling the
-            // same buffers each iteration times identical work.
-            let mut batch: Vec<(CtrNonce, Vec<u8>)> = (0..BATCH)
-                .map(|_| (CtrNonce::random(&mut rng), sealed.clone()))
-                .collect();
-            group.throughput(Throughput::Bytes((size * BATCH) as u64));
-            group.bench_function(format!("peel_batch{BATCH}/{size}B"), |b| {
-                b.iter(|| circuit::peel_batch_in_place(&setups[0].key, &mut batch))
-            });
-        }
-        group.finish();
-    }
-    // Per-packet batched-vs-single ratio (>1 means batching wins): the
-    // acceptance row for the cached-schedule circuit path.
+    let mut group = c.group("circuit");
+    let mut rng = StdRng::seed_from_u64(9);
+    let (source, setups) = circuit::establish(3, &mut rng);
+    let nonce0 = CtrNonce::random(&mut rng);
     for size in [256usize, 1024, 4096] {
-        let single = c.median_of(&format!("circuit/peel_one_layer/{size}B"));
-        let batch = c.median_of(&format!("circuit/peel_batch{BATCH}/{size}B"));
-        if let (Some(single), Some(batch)) = (single, batch) {
-            let per_packet = batch / BATCH as f64;
-            let speedup = single / per_packet;
-            println!(
-                "circuit/batch_peel_speedup_{size}B      {speedup:.2}x \
-                 (single {:.2} µs vs batched {:.2} µs/pkt)",
-                single / 1e3,
-                per_packet / 1e3,
-            );
-            c.record(format!("circuit/batch_peel_speedup_{size}B"), speedup);
-        }
+        let payload = vec![0xCDu8; size];
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_function(format!("seal_3_layers/{size}B"), |b| {
+            b.iter(|| circuit::seal_layers(&source.keys, &nonce0, &payload))
+        });
+        let sealed = circuit::seal_layers(&source.keys, &nonce0, &payload);
+        group.bench_function(format!("peel_one_layer/{size}B"), |b| {
+            b.iter(|| circuit::peel_layer(&setups[0].key, &nonce0, &sealed))
+        });
     }
-}
-
-/// Cached vs rebuilt Montgomery contexts on the RSA private-op and
-/// keygen paths. The cache (on by default; [`set_mont_cache`] is the A/B
-/// toggle) spares one `R² mod m` division per `modpow`: CRT decrypt
-/// reuses `p`/`q` forever and Miller–Rabin hammers one candidate with
-/// many bases, so both paths hit almost always.
-fn bench_mont_cache(c: &mut Bench) {
-    use whisper_crypto::bignum::set_mont_cache;
-    let size = RsaKeySize::Std1024;
-    {
-        let mut group = c.group("rsa_mont_ab");
-        group.sample_size(14);
-        let mut rng = StdRng::seed_from_u64(1);
-        let kp = KeyPair::generate(size, &mut rng);
-        let msg = vec![7u8; 24];
-        let ct = kp.public().encrypt(&msg, &mut rng).unwrap();
-        // Cached and uncached runs of the same op back to back, so the
-        // pair shares the host's thermal/paging state and the ratio is
-        // not skewed by drift between distant points in the process
-        // lifetime. The cached rows land under `rsa_cached/...`; the
-        // canonical `rsa/...` rows (measured with the cache on, the
-        // production default) stay the cross-PR trend lines.
-        for uncached in [true, false] {
-            set_mont_cache(!uncached);
-            let prefix = if uncached { "uncached_keygen" } else { "cached_keygen" };
-            group.bench_function(format!("{prefix}/{}", size.bits()), |b| {
-                let mut rng = StdRng::seed_from_u64(2);
-                b.iter(|| KeyPair::generate(size, &mut rng))
-            });
-        }
-        for uncached in [true, false] {
-            set_mont_cache(!uncached);
-            let prefix = if uncached { "uncached_decrypt" } else { "cached_decrypt" };
-            group.bench_function(format!("{prefix}/{}", size.bits()), |b| {
-                b.iter(|| kp.decrypt(&ct).unwrap())
-            });
-        }
-        set_mont_cache(true);
-        // The quantity the cache actually elides, measured directly: one
-        // Montgomery context build (n0inv + R/R^2-mod-m divisions). This
-        // is the stable number; the end-to-end keygen/decrypt A/B above
-        // moves by at most this much per modpow (<1% of a 1024-bit
-        // exponentiation) and is therefore noise-bound near 1.0x on a
-        // shared host.
-        {
-            use whisper_crypto::bignum::{BigUint, Montgomery};
-            let mut mrng = StdRng::seed_from_u64(3);
-            let mut bytes: Vec<u8> = (0..128).map(|_| mrng.gen()).collect();
-            bytes[0] |= 0x80; // full 1024 bits
-            bytes[127] |= 1; // odd, as Montgomery requires
-            let m = BigUint::from_bytes_be(&bytes);
-            group.bench_function("mont_setup/1024", |b| b.iter(|| Montgomery::new(&m)));
-        }
-        group.finish();
-    }
-    for op in ["decrypt", "keygen"] {
-        let cached = c.median_of(&format!("rsa_mont_ab/cached_{op}/{}", size.bits()));
-        let uncached = c.median_of(&format!("rsa_mont_ab/uncached_{op}/{}", size.bits()));
-        if let (Some(cached), Some(uncached)) = (cached, uncached) {
-            let speedup = uncached / cached;
-            println!(
-                "rsa/mont_cache_speedup_{op}_{}      {speedup:.2}x \
-                 (uncached {:.1} µs vs cached {:.1} µs)",
-                size.bits(),
-                uncached / 1e3,
-                cached / 1e3,
-            );
-            c.record(format!("rsa/mont_cache_speedup_{op}_{}", size.bits()), speedup);
-        }
-    }
+    group.finish();
 }
 
 fn bench_bignum(c: &mut Bench) {
@@ -267,7 +164,7 @@ fn bench_modpow(c: &mut Bench) {
             let exp_bytes: Vec<u8> = (0..limbs * 8).map(|_| rng.gen()).collect();
             let base = BigUint::from_bytes_be(&base_bytes);
             let exp = BigUint::from_bytes_be(&exp_bytes);
-            let mont = Montgomery::new(&modulus);
+            let mont = Montgomery::new(&modulus).expect("odd modulus");
             group.bench_function(format!("modpow_window/{bits}bit"), |b| {
                 b.iter(|| mont.pow(&base, &exp))
             });
@@ -296,7 +193,6 @@ fn bench_modpow(c: &mut Bench) {
 fn main() {
     let mut bench = Bench::from_args();
     bench_rsa(&mut bench);
-    bench_mont_cache(&mut bench);
     bench_modpow(&mut bench);
     bench_aes(&mut bench);
     bench_sha256(&mut bench);

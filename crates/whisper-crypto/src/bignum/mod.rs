@@ -21,7 +21,7 @@ mod karatsuba;
 mod modular;
 mod prime;
 
-pub use modular::{set_mont_cache, Montgomery};
+pub use modular::Montgomery;
 pub use prime::{gen_prime, is_probable_prime};
 
 use std::cmp::Ordering;

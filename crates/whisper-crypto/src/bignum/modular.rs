@@ -4,112 +4,61 @@
 
 //! Modular arithmetic: Montgomery-accelerated exponentiation and modular
 //! inverses.
+//!
+//! All Montgomery arithmetic runs through one kernel, [`mont_mul`], on
+//! fixed-width `[u64; N]` operands: its accumulator, the window table and
+//! every intermediate power live on the stack, and with `N` known at
+//! compile time its loops unroll without bounds checks. The kernel is
+//! instantiated at [`KERNEL_WIDTHS`]; a modulus runs at the narrowest
+//! width that holds it, zero-padded.
 
 use super::BigUint;
-use std::cell::RefCell;
-use std::rc::Rc;
+
+/// Limb widths the kernel is instantiated at: every RSA modulus size
+/// (6, 8, 16, 32 limbs for 384–2048 bits) and every CRT half (3, 4, 8,
+/// 16 limbs). Other moduli are zero-padded up to the next width; odd
+/// moduli wider than the last one have no [`Montgomery`] context and
+/// take the generic path of [`BigUint::modpow`].
+const KERNEL_WIDTHS: [usize; 6] = [3, 4, 6, 8, 16, 32];
+
+/// The kernel width a modulus of `limbs` limbs runs at, if any.
+fn kernel_width(limbs: usize) -> Option<usize> {
+    KERNEL_WIDTHS.into_iter().find(|&w| w >= limbs)
+}
 
 /// Montgomery context for a fixed odd modulus.
 ///
-/// Conversion into Montgomery form costs one division; each multiplication
-/// inside the domain is then division-free (CIOS algorithm).
+/// Construction costs one division (`R² mod m`); each multiplication
+/// inside the domain is then division-free. Build it once per modulus
+/// that is used repeatedly, as [`crate::rsa::KeyPair`] does for its CRT
+/// primes.
+#[derive(Clone)]
 pub struct Montgomery {
-    m: Vec<u64>,
+    m: BigUint,
+    /// Kernel width in limbs (see [`KERNEL_WIDTHS`]); `R = 2^(64·width)`.
+    width: usize,
     /// `-m[0]^-1 mod 2^64`.
     n0: u64,
-    /// `R^2 mod m` where `R = 2^(64*len)` — used to enter the domain.
+    /// `R^2 mod m` — used to enter the domain.
     r2: BigUint,
 }
 
 impl Montgomery {
-    /// Creates a context.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `modulus` is even or zero.
-    pub fn new(modulus: &BigUint) -> Self {
-        assert!(!modulus.is_zero() && !modulus.is_even(), "Montgomery modulus must be odd");
-        let m = modulus.limbs.clone();
-        let n0 = inv64(m[0]).wrapping_neg();
-        // R^2 mod m computed as 2^(128*len) mod m via shifting.
-        let r2 = BigUint::one().shl(m.len() * 64 * 2).rem(modulus);
-        Montgomery { m, n0, r2 }
-    }
-
-    fn len(&self) -> usize {
-        self.m.len()
-    }
-
-    /// CIOS Montgomery multiplication: returns `a * b * R^-1 mod m`.
-    /// `a` and `b` are limb vectors of length `len()` (zero padded).
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let n = self.len();
-        let mut t = vec![0u64; n + 2];
-        for i in 0..n {
-            // t += a[i] * b
-            let mut carry: u128 = 0;
-            for j in 0..n {
-                let s = t[j] as u128 + a[i] as u128 * b[j] as u128 + carry;
-                t[j] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[n] as u128 + carry;
-            t[n] = s as u64;
-            t[n + 1] = (s >> 64) as u64;
-
-            // Reduce: make t divisible by 2^64 and shift down one limb.
-            let u = t[0].wrapping_mul(self.n0);
-            let mut carry: u128 = (t[0] as u128 + u as u128 * self.m[0] as u128) >> 64;
-            for j in 1..n {
-                let s = t[j] as u128 + u as u128 * self.m[j] as u128 + carry;
-                t[j - 1] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[n] as u128 + carry;
-            t[n - 1] = s as u64;
-            t[n] = t[n + 1] + (s >> 64) as u64;
-            t[n + 1] = 0;
+    /// Creates a context, or `None` if `modulus` is zero, even, or wider
+    /// than 32 limbs (2048 bits).
+    pub fn new(modulus: &BigUint) -> Option<Self> {
+        if modulus.is_zero() || modulus.is_even() {
+            return None;
         }
-        // Result is t[0..=n] and is < 2m: subtract m if needed.
-        let needs_sub = t[n] != 0 || cmp_limbs(&t[..n], &self.m) != std::cmp::Ordering::Less;
-        let mut out = t[..n].to_vec();
-        if needs_sub {
-            let mut borrow: i128 = 0;
-            for i in 0..n {
-                let d = out[i] as i128 - self.m[i] as i128 - borrow;
-                if d < 0 {
-                    out[i] = (d + (1i128 << 64)) as u64;
-                    borrow = 1;
-                } else {
-                    out[i] = d as u64;
-                    borrow = 0;
-                }
-            }
-            debug_assert_eq!(borrow as u64, t[n]);
-        }
-        out
+        let width = kernel_width(modulus.limbs.len())?;
+        let n0 = inv64(modulus.limbs[0]).wrapping_neg();
+        let r2 = BigUint::one().shl(width * 64 * 2).rem(modulus);
+        Some(Montgomery { m: modulus.clone(), width, n0, r2 })
     }
 
-    fn pad(&self, v: &BigUint) -> Vec<u64> {
-        let mut l = v.limbs.clone();
-        l.resize(self.len(), 0);
-        l
-    }
-
-    /// Converts `v` (already `< m`) into the Montgomery domain.
-    fn to_mont(&self, v: &BigUint) -> Vec<u64> {
-        self.mont_mul(&self.pad(v), &self.pad(&self.r2))
-    }
-
-    /// Leaves the Montgomery domain.
-    #[allow(clippy::wrong_self_convention)] // converts `v`, not `self`
-    fn from_mont(&self, v: &[u64]) -> BigUint {
-        let one = {
-            let mut l = vec![0u64; self.len()];
-            l[0] = 1;
-            l
-        };
-        BigUint::from_limbs(self.mont_mul(v, &one))
+    /// The modulus.
+    pub fn modulus(&self) -> &BigUint {
+        &self.m
     }
 
     /// Exponents below this many bits use plain square-and-multiply: the
@@ -130,59 +79,11 @@ impl Montgomery {
     /// calls at RSA sizes.
     ///
     /// Accounts `n² × mont_mul-calls` deterministic limb-operation units
-    /// in [`crate::costs`] (one unit per CIOS inner-loop step), so the
-    /// cost model tracks the actual multiplication count of this exact
-    /// exponent and window schedule.
+    /// in [`crate::costs`], with `n` the modulus's own limb count (not
+    /// the padded kernel width), so the cost model tracks the
+    /// multiplication count of this exact exponent and window schedule.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.bits() < Self::WINDOW_MIN_BITS {
-            return self.pow_binary(base, exp);
-        }
-        let base = base.rem(&BigUint::from_limbs(self.m.clone()));
-        let mb = self.to_mont(&base);
-        let mont_one = self.to_mont(&BigUint::one());
-        let mut muls: u64 = 2; // the two to_mont conversions above
-
-        // Precompute table[d] = base^d for d in 1..16 (table[0] unused;
-        // zero windows are squarings only).
-        const TABLE_SIZE: usize = 1 << WINDOW_BITS;
-        let mut table: Vec<Vec<u64>> = Vec::with_capacity(TABLE_SIZE);
-        table.push(mont_one.clone());
-        table.push(mb);
-        for d in 2..TABLE_SIZE {
-            table.push(self.mont_mul(&table[d - 1], &table[1]));
-            muls += 1;
-        }
-        debug_assert_eq!(muls, 2 + WINDOW_TABLE_MULS);
-
-        // Left-to-right over 4-bit windows, most significant first. The
-        // top window may be short; processing it like any other keeps the
-        // loop uniform (leading squarings of 1 are still mont_muls and
-        // are accounted as such — the cost model charges what runs).
-        let bits = exp.bits();
-        let windows = bits.div_ceil(WINDOW_BITS);
-        let mut acc = mont_one;
-        for w in (0..windows).rev() {
-            for _ in 0..WINDOW_BITS {
-                acc = self.mont_mul(&acc, &acc);
-                muls += 1;
-            }
-            let mut digit = 0usize;
-            for b in 0..WINDOW_BITS {
-                let bit_idx = w * WINDOW_BITS + (WINDOW_BITS - 1 - b);
-                digit <<= 1;
-                if bit_idx < bits && exp.bit(bit_idx) {
-                    digit |= 1;
-                }
-            }
-            if digit != 0 {
-                acc = self.mont_mul(&acc, &table[digit]);
-                muls += 1;
-            }
-        }
-        muls += 1; // from_mont below
-        let n = self.len() as u64;
-        crate::costs::add_rsa_limb_ops(muls * n * n);
-        self.from_mont(&acc)
+        self.exp(base, exp, exp.bits() >= Self::WINDOW_MIN_BITS)
     }
 
     /// Plain left-to-right binary square-and-multiply — the reference
@@ -190,83 +91,140 @@ impl Montgomery {
     /// against, and the fast path for short exponents. Same deterministic
     /// limb-op accounting as [`Montgomery::pow`].
     pub fn pow_binary(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        self.exp(base, exp, false)
+    }
+
+    fn exp(&self, base: &BigUint, exp: &BigUint, windowed: bool) -> BigUint {
         if exp.is_zero() {
-            return BigUint::one().rem(&BigUint::from_limbs(self.m.clone()));
+            return BigUint::one().rem(&self.m);
         }
-        let base = base.rem(&BigUint::from_limbs(self.m.clone()));
-        let mb = self.to_mont(&base);
-        let mut acc = self.to_mont(&BigUint::one());
-        let mut muls: u64 = 2; // the two to_mont conversions above
-        for i in (0..exp.bits()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            muls += 1;
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &mb);
+        let base = base.rem(&self.m);
+        match self.width {
+            3 => self.exp_fixed::<3>(&base, exp, windowed),
+            4 => self.exp_fixed::<4>(&base, exp, windowed),
+            6 => self.exp_fixed::<6>(&base, exp, windowed),
+            8 => self.exp_fixed::<8>(&base, exp, windowed),
+            16 => self.exp_fixed::<16>(&base, exp, windowed),
+            32 => self.exp_fixed::<32>(&base, exp, windowed),
+            w => unreachable!("no Montgomery kernel instantiated at {w} limbs"),
+        }
+    }
+
+    /// `base^exp mod m` at kernel width `N`, for `base < m`. Windowed
+    /// (4-bit, left to right) or binary; both charge the same
+    /// per-`mont_mul` cost.
+    fn exp_fixed<const N: usize>(&self, base: &BigUint, exp: &BigUint, windowed: bool) -> BigUint {
+        let m = padded::<N>(&self.m);
+        let mul = |a: &[u64; N], b: &[u64; N]| mont_mul(a, b, &m, self.n0);
+        let r2 = padded::<N>(&self.r2);
+        let mut one = [0u64; N];
+        one[0] = 1;
+        let mb = mul(&padded(base), &r2);
+        let mut acc = mul(&one, &r2);
+        let mut muls: u64 = 2; // the two conversions into the domain above
+        let bits = exp.bits();
+        if windowed {
+            // table[d] = base^d for d in 1..16 (table[0] unused; zero
+            // windows are squarings only).
+            let mut table = [[0u64; N]; TABLE_SIZE];
+            table[1] = mb;
+            for d in 2..TABLE_SIZE {
+                table[d] = mul(&table[d - 1], &mb);
                 muls += 1;
             }
+            debug_assert_eq!(muls, 2 + WINDOW_TABLE_MULS);
+            // Most significant window first. The top window may be short;
+            // processing it like any other keeps the loop uniform
+            // (leading squarings of 1 are still mont_muls and are
+            // accounted as such — the cost model charges what runs).
+            for w in (0..bits.div_ceil(WINDOW_BITS)).rev() {
+                for _ in 0..WINDOW_BITS {
+                    acc = mul(&acc, &acc);
+                    muls += 1;
+                }
+                let digit = (0..WINDOW_BITS).rev().fold(0usize, |d, b| {
+                    (d << 1) | exp.bit(w * WINDOW_BITS + b) as usize
+                });
+                if digit != 0 {
+                    acc = mul(&acc, &table[digit]);
+                    muls += 1;
+                }
+            }
+        } else {
+            for i in (0..bits).rev() {
+                acc = mul(&acc, &acc);
+                muls += 1;
+                if exp.bit(i) {
+                    acc = mul(&acc, &mb);
+                    muls += 1;
+                }
+            }
         }
-        muls += 1; // from_mont below
-        let n = self.len() as u64;
+        let out = mul(&acc, &one); // leave the domain
+        muls += 1;
+        let n = self.m.limbs.len() as u64;
         crate::costs::add_rsa_limb_ops(muls * n * n);
-        self.from_mont(&acc)
+        BigUint::from_limbs(out.to_vec())
     }
 }
 
-/// Capacity of the thread-local [`Montgomery`] context cache. RSA
-/// traffic concentrates on very few moduli at a time — a node's own
-/// `n`/`p`/`q` on the CRT decrypt path, a handful of peer keys on the
-/// encrypt path, and one candidate at a time during keygen — so a tiny
-/// move-to-front list covers the working set.
-const MONT_CACHE_CAP: usize = 8;
-
-/// Thread-local LRU of Montgomery contexts keyed by modulus.
-struct MontCache {
-    enabled: bool,
-    entries: Vec<Rc<Montgomery>>,
+/// `v` (at most `N` limbs) zero-padded to `N` limbs.
+fn padded<const N: usize>(v: &BigUint) -> [u64; N] {
+    let mut out = [0u64; N];
+    out[..v.limbs.len()].copy_from_slice(&v.limbs);
+    out
 }
 
-thread_local! {
-    static MONT_CACHE: RefCell<MontCache> =
-        const { RefCell::new(MontCache { enabled: true, entries: Vec::new() }) };
-}
-
-/// Turns the thread-local [`Montgomery`] context cache on or off (it is
-/// on by default). The A/B knob for benchmarks: with the cache off every
-/// [`BigUint::modpow`] call rebuilds its context — one full division for
-/// `R² mod m` — exactly as before the cache existed.
+/// Montgomery multiplication `a · b · 2^(-64N) mod m` for `a, b < m`,
+/// `m` odd and `n0 = -m[0]^-1 mod 2^64`.
 ///
-/// Purely a wall-clock knob: context construction performs no
-/// deterministic cost accounting (only `mont_mul` calls are charged), so
-/// traces and the crypto cost model are identical either way. Disabling
-/// also drops the cached contexts.
-pub fn set_mont_cache(enabled: bool) {
-    MONT_CACHE.with(|c| {
-        let mut c = c.borrow_mut();
-        c.enabled = enabled;
-        if !enabled {
-            c.entries.clear();
+/// CIOS with the multiply and reduce passes fused: each outer step adds
+/// `a[i]·b` and `u·m` in one sweep (two carry chains) and shifts the
+/// accumulator down one limb. The accumulator stays below `2m`, so its
+/// overflow above `N` limbs is a single bit (`hi`).
+#[inline]
+fn mont_mul<const N: usize>(a: &[u64; N], b: &[u64; N], m: &[u64; N], n0: u64) -> [u64; N] {
+    let mut t = [0u64; N];
+    let mut hi = 0u64;
+    for i in 0..N {
+        let ai = a[i] as u128;
+        let s = t[0] as u128 + ai * b[0] as u128;
+        let mut c1 = s >> 64;
+        let t0 = s as u64;
+        let u = t0.wrapping_mul(n0) as u128;
+        let mut c2 = (t0 as u128 + u * m[0] as u128) >> 64;
+        for j in 1..N {
+            let s = t[j] as u128 + ai * b[j] as u128 + c1;
+            c1 = s >> 64;
+            let r = (s as u64) as u128 + u * m[j] as u128 + c2;
+            c2 = r >> 64;
+            t[j - 1] = r as u64;
         }
-    });
+        let s = hi as u128 + c1 + c2;
+        t[N - 1] = s as u64;
+        hi = (s >> 64) as u64;
+    }
+    if hi != 0 || !less_than(&t, m) {
+        let mut borrow = false;
+        for j in 0..N {
+            let (d, b1) = t[j].overflowing_sub(m[j]);
+            let (d, b2) = d.overflowing_sub(borrow as u64);
+            t[j] = d;
+            borrow = b1 | b2;
+        }
+        debug_assert_eq!(borrow as u64, hi);
+    }
+    t
 }
 
-/// Returns a (possibly cached) Montgomery context for `modulus`,
-/// moving a hit to the front of the LRU list.
-fn cached_montgomery(modulus: &BigUint) -> Rc<Montgomery> {
-    MONT_CACHE.with(|c| {
-        let mut c = c.borrow_mut();
-        if !c.enabled {
-            return Rc::new(Montgomery::new(modulus));
+/// `a < b` on equal-width limb arrays.
+fn less_than<const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
+    for i in (0..N).rev() {
+        if a[i] != b[i] {
+            return a[i] < b[i];
         }
-        if let Some(i) = c.entries.iter().position(|m| m.m == modulus.limbs) {
-            let hit = c.entries.remove(i);
-            c.entries.insert(0, Rc::clone(&hit));
-            return hit;
-        }
-        let fresh = Rc::new(Montgomery::new(modulus));
-        c.entries.insert(0, Rc::clone(&fresh));
-        c.entries.truncate(MONT_CACHE_CAP);
-        fresh
-    })
+    }
+    false
 }
 
 /// Window width of the fixed-window exponentiation (4 bits = hexadecimal
@@ -274,20 +232,11 @@ fn cached_montgomery(modulus: &BigUint) -> Rc<Montgomery> {
 /// double the table cost (30 muls) for one fewer table multiply per 20
 /// exponent bits.
 const WINDOW_BITS: usize = 4;
+/// Entries of the window table.
+const TABLE_SIZE: usize = 1 << WINDOW_BITS;
 /// Multiplications spent building the 2^[`WINDOW_BITS`]-entry power
-/// table (entries 2..16; entry 0 is one, entry 1 is the base).
-const WINDOW_TABLE_MULS: u64 = (1 << WINDOW_BITS) - 2;
-
-fn cmp_limbs(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
-    debug_assert_eq!(a.len(), b.len());
-    for i in (0..a.len()).rev() {
-        match a[i].cmp(&b[i]) {
-            std::cmp::Ordering::Equal => continue,
-            o => return o,
-        }
-    }
-    std::cmp::Ordering::Equal
-}
+/// table (entries 2..16; entry 0 is unused, entry 1 is the base).
+const WINDOW_TABLE_MULS: u64 = TABLE_SIZE as u64 - 2;
 
 /// Inverse of an odd `m` modulo 2^64 by Newton iteration.
 fn inv64(m: u64) -> u64 {
@@ -303,12 +252,10 @@ fn inv64(m: u64) -> u64 {
 impl BigUint {
     /// Computes `self^exp mod modulus`.
     ///
-    /// Uses Montgomery multiplication for odd moduli — with the context
-    /// (the `R² mod m` division) served from a thread-local per-modulus
-    /// cache (see [`set_mont_cache`]), since RSA hammers the same few
-    /// moduli: CRT decrypt reuses `p` and `q` forever, and Miller–Rabin
-    /// runs many bases against one candidate — and a generic
-    /// square-and-multiply with explicit reduction otherwise.
+    /// Odd moduli of up to 32 limbs run on a [`Montgomery`] context built
+    /// for this call (one `R² mod m` division); callers that reuse a
+    /// modulus, like RSA's CRT primes, keep the context instead. Other
+    /// moduli take a generic square-and-multiply with explicit reduction.
     ///
     /// # Panics
     ///
@@ -318,11 +265,11 @@ impl BigUint {
         if modulus.is_one() {
             return BigUint::zero();
         }
-        if !modulus.is_even() {
-            return cached_montgomery(modulus).pow(self, exp);
+        if let Some(ctx) = Montgomery::new(modulus) {
+            return ctx.pow(self, exp);
         }
-        // Rare in this codebase (RSA moduli and MR candidates are odd) but
-        // kept for completeness.
+        // Rare in this codebase (RSA moduli and MR candidates are odd and
+        // at most 32 limbs) but kept for completeness.
         let mut acc = BigUint::one();
         let base = self.rem(modulus);
         for i in (0..exp.bits()).rev() {
@@ -412,6 +359,18 @@ mod tests {
         BigUint::from(v)
     }
 
+    /// Square-and-multiply with explicit reduction after every product.
+    fn naive_modpow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let mut acc = BigUint::one();
+        for i in (0..exp.bits()).rev() {
+            acc = acc.mul(&acc).rem(m);
+            if exp.bit(i) {
+                acc = acc.mul(base).rem(m);
+            }
+        }
+        acc
+    }
+
     #[test]
     fn modpow_small() {
         assert_eq!(big(2).modpow(&big(10), &big(1000)), big(24));
@@ -440,16 +399,7 @@ mod tests {
         let m = BigUint::from_limbs(vec![0xffff_ffff_ffff_ff61, 0x1234_5678_9abc_def1]);
         let base = BigUint::from_limbs(vec![0xdead_beef, 0xcafe]);
         let exp = big(65537);
-        let fast = base.modpow(&exp, &m);
-        // Naive square-and-multiply with explicit reduction.
-        let mut acc = BigUint::one();
-        for i in (0..exp.bits()).rev() {
-            acc = acc.mul(&acc).rem(&m);
-            if exp.bit(i) {
-                acc = acc.mul(&base).rem(&m);
-            }
-        }
-        assert_eq!(fast, acc);
+        assert_eq!(base.modpow(&exp, &m), naive_modpow(&base, &exp, &m));
     }
 
     /// Deterministic pseudo-random limbs for exponentiation tests
@@ -472,7 +422,7 @@ mod tests {
         let mut m_limbs = mix_limbs(1, 4);
         m_limbs[0] |= 1; // odd modulus
         let m = BigUint::from_limbs(m_limbs);
-        let ctx = Montgomery::new(&m);
+        let ctx = Montgomery::new(&m).expect("odd modulus");
         for seed in 2..8u64 {
             let base = BigUint::from_limbs(mix_limbs(seed, 3));
             // Exponents straddling the window threshold, including
@@ -497,7 +447,7 @@ mod tests {
         let mut m_limbs = mix_limbs(9, 8);
         m_limbs[0] |= 1;
         let m = BigUint::from_limbs(m_limbs);
-        let ctx = Montgomery::new(&m);
+        let ctx = Montgomery::new(&m).expect("odd modulus");
         let base = BigUint::from_limbs(mix_limbs(10, 7));
         let exp = BigUint::from_limbs(mix_limbs(11, 8)); // ~512-bit exponent
         let before = crate::costs::snapshot();
@@ -566,63 +516,29 @@ mod tests {
 
     #[test]
     fn montgomery_round_trip() {
+        // x^1 is one trip into the domain and back out.
         let m = BigUint::from_limbs(vec![0xffff_ffff_ffff_ff61, 0x1234_5678_9abc_def1]);
-        let ctx = Montgomery::new(&m);
+        let ctx = Montgomery::new(&m).expect("odd modulus");
         let v = BigUint::from_limbs(vec![0xabcdef, 0x77]);
-        let domain = ctx.to_mont(&v);
-        assert_eq!(ctx.from_mont(&domain), v);
+        assert_eq!(ctx.pow_binary(&v, &big(1)), v);
+        assert_eq!(ctx.modulus(), &m);
     }
 
     #[test]
-    #[should_panic(expected = "odd")]
     fn montgomery_rejects_even() {
-        Montgomery::new(&big(10));
+        assert!(Montgomery::new(&big(10)).is_none());
+        assert!(Montgomery::new(&BigUint::zero()).is_none());
     }
 
     #[test]
-    fn mont_cache_is_invisible_to_results_and_costs() {
-        let m = BigUint::from_limbs(vec![0xffff_ffff_ffff_ff61, 0x1234_5678_9abc_def1]);
-        let base = BigUint::from_limbs(vec![0xdead_beef, 0xcafe]);
-        let exp = BigUint::from_limbs(mix_limbs(42, 2));
-        set_mont_cache(true);
-        let before = crate::costs::snapshot();
-        let warm1 = base.modpow(&exp, &m);
-        let warm2 = base.modpow(&exp, &m); // second call hits the cache
-        let cached_cost = crate::costs::snapshot().since(before).rsa_limb_ops;
-        set_mont_cache(false);
-        let before = crate::costs::snapshot();
-        let cold1 = base.modpow(&exp, &m);
-        let cold2 = base.modpow(&exp, &m);
-        let uncached_cost = crate::costs::snapshot().since(before).rsa_limb_ops;
-        set_mont_cache(true);
-        assert_eq!(warm1, cold1);
-        assert_eq!(warm2, cold2);
-        assert_eq!(
-            cached_cost, uncached_cost,
-            "context caching must not change the deterministic cost model"
-        );
-    }
-
-    #[test]
-    fn mont_cache_evicts_beyond_capacity() {
-        set_mont_cache(true);
-        // Churn through more odd moduli than the cache holds; every result
-        // must still be correct (eviction is pure wall-clock policy).
-        for i in 0..(MONT_CACHE_CAP as u64 * 3) {
-            let m = big(1_000_003 + 2 * i); // odd
-            let got = big(7).modpow(&big(65537), &m);
-            let mut acc = BigUint::one();
-            let e = big(65537);
-            for b in (0..e.bits()).rev() {
-                acc = acc.mul(&acc).rem(&m);
-                if e.bit(b) {
-                    acc = acc.mul(&big(7)).rem(&m);
-                }
-            }
-            assert_eq!(got, acc, "modulus churn broke the cached path at {i}");
-        }
-        MONT_CACHE.with(|c| {
-            assert!(c.borrow().entries.len() <= MONT_CACHE_CAP, "LRU grew past capacity");
-        });
+    fn wide_odd_modulus_takes_generic_path() {
+        // 33 limbs: no kernel width, so modpow reduces generically.
+        let mut m_limbs = mix_limbs(21, 33);
+        m_limbs[0] |= 1;
+        let m = BigUint::from_limbs(m_limbs);
+        assert!(Montgomery::new(&m).is_none());
+        let base = BigUint::from_limbs(mix_limbs(22, 33));
+        let exp = big(65537);
+        assert_eq!(base.modpow(&exp, &m), naive_modpow(&base, &exp, &m));
     }
 }

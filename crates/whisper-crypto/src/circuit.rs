@@ -214,25 +214,12 @@ pub fn peel_layer_in_place(key: &AesKey, nonce: &CtrNonce, body: &mut [u8]) {
     Aes128::new(key).ctr_apply_in_place(nonce, body);
 }
 
-/// Peels one hop's layer off a batch of packets, expanding the key
-/// schedule **once** for the whole batch instead of once per packet —
-/// the amortization a relay gets when several packets of the same
-/// circuit are queued at one hop. Each packet carries its own nonce
-/// (they are hash-chained per packet, not per batch).
-pub fn peel_batch_in_place(key: &AesKey, packets: &mut [(CtrNonce, Vec<u8>)]) {
-    let cipher = Aes128::new(key);
-    for (nonce, body) in packets.iter_mut() {
-        cipher.ctr_apply_in_place(nonce, body);
-    }
-}
-
 /// What a hop remembers about one circuit.
 ///
 /// The expanded AES key schedule is computed once at installation and
 /// cached, so every subsequent packet on the circuit peels with zero
-/// key-schedule work — the per-entry form of batched peeling (the
-/// deterministic cost model is unaffected: only CTR block work is
-/// accounted, never schedule expansion).
+/// key-schedule work (the deterministic cost model is unaffected: only
+/// CTR block work is accounted, never schedule expansion).
 #[derive(Clone)]
 pub struct CircuitEntry {
     key: AesKey,
@@ -459,18 +446,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_cached_entry_peels_match_single() {
+    fn cached_entry_peel_matches_single() {
+        // The schedule is expanded once, at install time.
         let key = AesKey([5; 16]);
-        // Batch form: one schedule expansion, N packets.
-        let mut packets: Vec<(CtrNonce, Vec<u8>)> =
-            (0..4u8).map(|i| (CtrNonce([i; 8]), vec![i; 64])).collect();
-        let mut reference = packets.clone();
-        for (nonce, body) in reference.iter_mut() {
-            peel_layer_in_place(&key, nonce, body);
-        }
-        peel_batch_in_place(&key, &mut packets);
-        assert_eq!(packets, reference);
-        // Cached-entry form: the schedule expanded at install time.
         let entry = CircuitEntry::new(key, vec![], None);
         let nonce = CtrNonce([7; 8]);
         let mut via_entry = vec![9u8; 64];

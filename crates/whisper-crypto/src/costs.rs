@@ -45,24 +45,26 @@ pub const AES_PS_PER_BLOCK: u64 = 66_000;
 
 /// Model cost of one RSA limb-operation unit, in picoseconds.
 ///
-/// One unit is one inner-loop step of a CIOS Montgomery multiplication
-/// (`n²` units per `mont_mul` on an `n`-limb modulus). Calibrated against
-/// the `rsa/decrypt/384` micro-benchmark — the simulation operating point
-/// — where one CRT decrypt counts 5,193 units and measures 33–57 µs on
-/// the reference machine across PR 7 → PR 10 runs (8.8 ns/unit ⇒ model
-/// ≈45.7 µs, inside that window). At larger moduli the
-/// per-multiplication overhead amortizes and the model overestimates
-/// (measured `rsa/decrypt/1024` ≈324 µs vs ≈868 µs modeled); a single
-/// constant cannot fit both, and the simulation size wins.
+/// One unit is one inner-loop step of a CIOS Montgomery multiplication:
+/// `n²` units per `mont_mul` on an `n`-limb modulus, where `n` is the
+/// modulus's own limb count even when the fixed-width kernel runs it
+/// zero-padded at a wider instantiation. The constant was calibrated
+/// against the `rsa/decrypt/384` micro-benchmark — the simulation
+/// operating point, ≈4,500–4,600 units per CRT decrypt — when that
+/// decrypt measured 33–57 µs (8.8 ns/unit ⇒ model ≈40 µs).
 ///
-/// Re-checked for PR 10's cached Montgomery contexts
-/// ([`crate::bignum::set_mont_cache`]): the cache removes one context
-/// build (~1.4 µs, `rsa_mont_ab/mont_setup/1024` in `BENCH_pr10.json`)
-/// per `modpow`, under 1% of a decrypt — no recalibration warranted.
-/// The unit *counts* are untouched either way: `Montgomery` construction
-/// performs no cost accounting, only `mont_mul` inner-loop steps do, so
-/// the cache cannot perturb deterministic traces. Fixed by design, like
-/// [`AES_PS_PER_BLOCK`].
+/// The thread-local Montgomery context cache has since been replaced by
+/// contexts built once per key ([`crate::rsa::KeyPair`] keeps one per
+/// CRT prime) and an allocation-free fixed-width kernel. On a 2-CPU
+/// Xeon host a Sim384 decrypt now measures ≈15 µs, so the model
+/// overestimates at Sim384 too (≈2.7×), as it already did at 1024 bits
+/// (measured ≈131 µs vs 83,008 units ≈730 µs modeled). The constant
+/// stays fixed by design, like [`AES_PS_PER_BLOCK`]: determinism
+/// traces and the Table II / Fig. 7 reproductions are computed from it,
+/// so it must never follow the host. The unit *counts* did not move
+/// either: context construction performs no cost accounting, and the
+/// multiplication schedule is unchanged (pinned by a test in
+/// [`crate::rsa`]).
 pub const RSA_PS_PER_LIMB_OP: u64 = 8_800;
 
 /// A snapshot of the accumulated costs.

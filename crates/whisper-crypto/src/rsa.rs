@@ -26,7 +26,7 @@
 //! # }
 //! ```
 
-use crate::bignum::{gen_prime, BigUint};
+use crate::bignum::{gen_prime, BigUint, Montgomery};
 use crate::sha256::Sha256;
 use crate::CryptoError;
 use whisper_rand::Rng;
@@ -87,8 +87,9 @@ impl std::fmt::Debug for PublicKey {
 #[derive(Clone)]
 pub struct KeyPair {
     public: PublicKey,
-    p: BigUint,
-    q: BigUint,
+    /// Montgomery contexts of the CRT primes, built once per key.
+    p: Montgomery,
+    q: Montgomery,
     dp: BigUint,
     dq: BigUint,
     qinv: BigUint,
@@ -110,34 +111,49 @@ impl KeyPair {
     /// Generates a fresh key pair of the given size.
     pub fn generate<R: Rng>(size: RsaKeySize, rng: &mut R) -> Self {
         let half = size.bits() / 2;
-        let e = BigUint::from(PUBLIC_EXPONENT);
         loop {
             let p = gen_prime(half, rng);
             let q = gen_prime(half, rng);
-            if p == q {
-                continue;
+            if let Some(kp) = Self::from_primes(p, q, BigUint::from(PUBLIC_EXPONENT)) {
+                debug_assert_eq!(kp.public.n.bits(), size.bits());
+                return kp;
             }
-            let one = BigUint::one();
-            let p1 = p.sub(&one);
-            let q1 = q.sub(&one);
-            let phi = p1.mul(&q1);
-            let Some(d) = e.modinv(&phi) else { continue };
-            let n = p.mul(&q);
-            debug_assert_eq!(n.bits(), size.bits());
-            let dp = d.rem(&p1);
-            let dq = d.rem(&q1);
-            let qinv = q.modinv(&p).expect("p, q distinct primes");
-            // Keep p > q irrelevant: CRT formula below handles either order
-            // because (m1 - m2) is computed modulo p.
-            return KeyPair {
-                public: PublicKey::assemble(n, e, size.bytes()),
-                p,
-                q,
-                dp,
-                dq,
-                qinv,
-            };
         }
+    }
+
+    /// Derives the key pair of primes `p`, `q` and public exponent `e`:
+    /// the private CRT exponents and the per-prime Montgomery contexts.
+    /// Returns `None` if `p == q`, either prime is even or wider than
+    /// 2048 bits, `e` is not invertible modulo φ(n), or the modulus's bit
+    /// length is not a whole number of bytes.
+    fn from_primes(p: BigUint, q: BigUint, e: BigUint) -> Option<Self> {
+        if p == q {
+            return None;
+        }
+        let (p_ctx, q_ctx) = (Montgomery::new(&p)?, Montgomery::new(&q)?);
+        let one = BigUint::one();
+        let p1 = p.sub(&one);
+        let q1 = q.sub(&one);
+        let phi = p1.mul(&q1);
+        let d = e.modinv(&phi)?;
+        let n = p.mul(&q);
+        if !n.bits().is_multiple_of(8) {
+            return None;
+        }
+        let dp = d.rem(&p1);
+        let dq = d.rem(&q1);
+        // p > q is not required: the CRT recombination computes
+        // (m1 - m2) modulo p.
+        let qinv = q.modinv(&p)?;
+        let k = n.bits() / 8;
+        Some(KeyPair {
+            public: PublicKey::assemble(n, e, k),
+            p: p_ctx,
+            q: q_ctx,
+            dp,
+            dq,
+            qinv,
+        })
     }
 
     /// The public half of this key pair.
@@ -150,17 +166,18 @@ impl KeyPair {
     /// Elapsed time is accounted in [`crate::costs`].
     fn private_op(&self, c: &BigUint) -> BigUint {
         let started = std::time::Instant::now();
-        let m1 = c.modpow(&self.dp, &self.p);
-        let m2 = c.modpow(&self.dq, &self.q);
+        let (p, q) = (self.p.modulus(), self.q.modulus());
+        let m1 = self.p.pow(c, &self.dp);
+        let m2 = self.q.pow(c, &self.dq);
         // h = qinv * (m1 - m2) mod p
-        let m2_mod_p = m2.rem(&self.p);
+        let m2_mod_p = m2.rem(p);
         let diff = if m1 >= m2_mod_p {
             m1.sub(&m2_mod_p)
         } else {
-            m1.add(&self.p).sub(&m2_mod_p)
+            m1.add(p).sub(&m2_mod_p)
         };
-        let h = self.qinv.mul(&diff).rem(&self.p);
-        let out = m2.add(&h.mul(&self.q));
+        let h = self.qinv.mul(&diff).rem(p);
+        let out = m2.add(&h.mul(q));
         crate::costs::add_rsa(started.elapsed().as_nanos() as u64);
         out
     }
@@ -202,8 +219,8 @@ impl KeyPair {
     /// size). Used by the PPSS group journal to persist a leader's group
     /// key across crash-restart; never sent on the wire.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let p = self.p.to_bytes_be();
-        let q = self.q.to_bytes_be();
+        let p = self.p.modulus().to_bytes_be();
+        let q = self.q.modulus().to_bytes_be();
         let e = self.public.e.to_bytes_be();
         let mut out = Vec::with_capacity(6 + p.len() + q.len() + e.len());
         for part in [&p, &q, &e] {
@@ -228,30 +245,10 @@ impl KeyPair {
         let p = BigUint::from_bytes_be(take(&mut rest)?);
         let q = BigUint::from_bytes_be(take(&mut rest)?);
         let e = BigUint::from_bytes_be(take(&mut rest)?);
-        if !rest.is_empty() || p.is_zero() || q.is_zero() || p == q {
+        if !rest.is_empty() {
             return None;
         }
-        let one = BigUint::one();
-        let p1 = p.sub(&one);
-        let q1 = q.sub(&one);
-        let phi = p1.mul(&q1);
-        let d = e.modinv(&phi)?;
-        let n = p.mul(&q);
-        if !n.bits().is_multiple_of(8) {
-            return None;
-        }
-        let dp = d.rem(&p1);
-        let dq = d.rem(&q1);
-        let qinv = q.modinv(&p)?;
-        let k = n.bits() / 8;
-        Some(KeyPair {
-            public: PublicKey::assemble(n, e, k),
-            p,
-            q,
-            dp,
-            dq,
-            qinv,
-        })
+        Self::from_primes(p, q, e)
     }
 
     /// Signs `message` (SHA-256 digest in a PKCS#1 v1.5 type-1 block).
@@ -532,6 +529,9 @@ mod tests {
         let mut bytes = keypair().to_bytes();
         bytes.push(0); // trailing garbage
         assert!(KeyPair::from_bytes(&bytes).is_none());
+        // An even "prime" has no Montgomery context: rejected, not a panic
+        // (p = 2, q = 67, e = 5 is otherwise a well-formed 8-bit key).
+        assert!(KeyPair::from_bytes(&[0, 1, 2, 0, 1, 67, 0, 1, 5]).is_none());
     }
 
     #[test]
@@ -570,5 +570,33 @@ mod tests {
         let s = format!("{kp:?}");
         assert!(s.contains("384"));
         assert!(!s.contains("dp"));
+    }
+
+    #[test]
+    fn rsa_limb_ops_are_pinned() {
+        // The deterministic cost model (traces, Table II, Fig. 7) counts
+        // these units; a change to the multiplication schedule or to what
+        // `n` means in `muls × n²` shows here first.
+        fn limb_ops(f: impl FnOnce()) -> u64 {
+            let before = crate::costs::snapshot();
+            f();
+            crate::costs::snapshot().since(before).rsa_limb_ops
+        }
+        for (size, pinned) in [
+            (RsaKeySize::Sim384, [792, 4527, 4527, 792]),
+            (RsaKeySize::Sim512, [1408, 10608, 10608, 1408]),
+        ] {
+            let mut r = StdRng::seed_from_u64(7);
+            let kp = KeyPair::generate(size, &mut r);
+            let mut ct = Vec::new();
+            let mut sig = Vec::new();
+            let got = [
+                limb_ops(|| ct = kp.public().encrypt(b"pinned cost", &mut r).unwrap()),
+                limb_ops(|| assert_eq!(kp.decrypt(&ct).unwrap(), b"pinned cost")),
+                limb_ops(|| sig = kp.sign(b"pinned cost")),
+                limb_ops(|| kp.public().verify(b"pinned cost", &sig).unwrap()),
+            ];
+            assert_eq!(got, pinned, "{size:?}: [encrypt, decrypt, sign, verify] limb ops");
+        }
     }
 }

@@ -8,7 +8,7 @@
 
 use std::sync::OnceLock;
 use whisper_crypto::aes::{Aes128, AesKey, CtrNonce};
-use whisper_crypto::bignum::BigUint;
+use whisper_crypto::bignum::{BigUint, Montgomery};
 use whisper_crypto::hybrid;
 use whisper_crypto::onion::{build_onion, peel, peel_with_body, PeelResult};
 use whisper_crypto::rsa::{KeyPair, RsaKeySize};
@@ -88,21 +88,55 @@ fn shifts_invert() {
 
 #[test]
 fn modpow_matches_naive() {
-    check(64, "modpow_matches_naive", |g| {
-        let base: u64 = g.gen();
-        let exp = g.gen_range(0..64u64);
-        let m = g.gen_range(3..u64::MAX) | 1; // odd: exercise the Montgomery path
-        let fast = BigUint::from(base).modpow(&BigUint::from(exp), &BigUint::from(m));
-        // Naive u128 square-and-multiply.
-        let mut acc: u128 = 1;
-        let b = (base % m) as u128;
-        for i in (0..64).rev() {
-            acc = acc * acc % m as u128;
-            if (exp >> i) & 1 == 1 {
-                acc = acc * b % m as u128;
+    fn from_limbs(limbs: &[u64]) -> BigUint {
+        big(&limbs.iter().rev().flat_map(|l| l.to_be_bytes()).collect::<Vec<u8>>())
+    }
+    /// Square-and-multiply with a full division after every product.
+    fn naive(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let base = base.rem(m);
+        let mut acc = BigUint::one().rem(m);
+        for i in (0..exp.bits()).rev() {
+            acc = acc.mul(&acc).rem(m);
+            if exp.bit(i) {
+                acc = acc.mul(&base).rem(m);
             }
         }
-        assert_eq!(fast.to_u64(), Some(acc as u64));
+        acc
+    }
+    // Every modulus limb count from 1 to 32 exercises every kernel width
+    // and every amount of zero padding below it.
+    check(2, "modpow_matches_naive", |g| {
+        for limbs in 1..=32usize {
+            let mut m: Vec<u64> = (0..limbs).map(|_| g.gen()).collect();
+            if g.gen() {
+                m[limbs - 1] = u64::MAX;
+            }
+            m[limbs - 1] |= 1 << 63;
+            m[0] |= 1; // odd: exercise the Montgomery path
+            let m = from_limbs(&m);
+            let mut full: Vec<u64> = (0..limbs).map(|_| g.gen()).collect();
+            full[limbs - 1] |= 1 << 63;
+            let full = from_limbs(&full);
+            let mont = Montgomery::new(&m).expect("odd modulus of at most 32 limbs");
+            let wide: Vec<u64> = (0..=limbs).map(|_| g.gen()).collect();
+            let narrow: Vec<u64> = (0..limbs).map(|_| g.gen()).collect();
+            // The full-width exponent (the windowed path) runs on one
+            // base only: the naive reference is slow at 32 limbs.
+            let cases = [
+                (from_limbs(&wide), full),
+                (from_limbs(&wide), BigUint::from(65537u64)),
+                (from_limbs(&narrow), BigUint::from(65537u64)),
+                (m.clone(), BigUint::from(65537u64)),
+                (from_limbs(&narrow), BigUint::one()),
+                (from_limbs(&wide), BigUint::one()),
+                (from_limbs(&narrow), BigUint::zero()),
+            ];
+            for (base, exp) in cases {
+                let want = naive(&base, &exp, &m);
+                assert_eq!(base.modpow(&exp, &m), want, "{limbs} limbs, exp {exp:?}");
+                assert_eq!(mont.pow_binary(&base, &exp), want, "{limbs} limbs, binary");
+            }
+        }
     });
 }
 

@@ -30,6 +30,12 @@ cargo build --release --offline --workspace --all-targets
 step "offline test suite (whole workspace)"
 cargo test -q --offline --workspace
 
+step "end-to-end benchmark smoke tests (perfbench: output checks, request/reply digests, traced == untraced)"
+# perfbench is a package of its own; its smoke runs push real private
+# messages through RSA onions and circuits, so a crypto or protocol bug
+# fails here through its correctness checks.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 step "clippy clean (all targets, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
