@@ -26,7 +26,7 @@ pub fn arg_value(flag: &str) -> Option<usize> {
 }
 
 /// Reads a `--flag VALUE` or `--flag=VALUE` string argument from the
-/// process arguments (e.g. `--sched wheel`).
+/// process arguments (e.g. `--max-allocs-per-send 0.2`).
 pub fn arg_str(flag: &str) -> Option<String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {

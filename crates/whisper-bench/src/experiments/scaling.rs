@@ -25,10 +25,11 @@
 
 use std::time::Instant;
 
+use crate::experiments;
 use crate::harness::NetBuilder;
 use crate::report;
 use whisper_core::node::NoApp;
-use whisper_net::sched::Scheduler;
+use whisper_net::sim::Sim;
 use whisper_pss::NylonConfig;
 use whisper_rand::bench::Bench;
 
@@ -62,9 +63,6 @@ pub struct Params {
     pub secs: u64,
     /// Engine seed.
     pub seed: u64,
-    /// Event scheduler for every cell (heap vs calendar wheel A/B;
-    /// trace-invariant, wall-clock-relevant).
-    pub sched: Scheduler,
     /// Timed repetitions per cell; the best (minimum) wall and CPU
     /// times are reported. The trace is deterministic, so repetitions
     /// do identical work — the minimum is the run least disturbed by
@@ -91,7 +89,6 @@ impl Params {
             shards: vec![1, 2, 4, 8],
             secs: 60,
             seed: 7,
-            sched: Scheduler::Wheel,
             reps: 1,
             prof: false,
             max_allocs_per_send: None,
@@ -101,6 +98,29 @@ impl Params {
     /// A fast smoke-test configuration.
     pub fn quick() -> Self {
         Params { nodes: vec![384, 1000], shards: vec![1, 4], secs: 20, ..Params::paper() }
+    }
+
+    /// The sweep selected by the process arguments, as read by the
+    /// `--scale` mode of the experiment binaries: `--quick`, `--nodes N`,
+    /// `--shards S`, `--reps N`, `--prof` and `--max-allocs-per-send X`.
+    pub fn from_args() -> Self {
+        let mut params =
+            if experiments::quick_flag() { Params::quick() } else { Params::paper() };
+        if let Some(nodes) = experiments::arg_value("--nodes") {
+            params.nodes = vec![nodes];
+        }
+        if let Some(shards) = experiments::arg_value("--shards") {
+            params.shards = vec![shards];
+        }
+        if let Some(reps) = experiments::arg_value("--reps") {
+            params.reps = reps;
+        }
+        params.prof = std::env::args().any(|a| a == "--prof");
+        if let Some(max) = experiments::arg_str("--max-allocs-per-send") {
+            params.max_allocs_per_send =
+                Some(max.parse().expect("--max-allocs-per-send takes a number"));
+        }
+        params
     }
 
     /// Simulated seconds for one cell. Populations of 50k+ get a
@@ -116,16 +136,6 @@ impl Params {
             self.secs
         }
     }
-
-    /// Bench-id infix naming the scheduler: the calendar wheel (the
-    /// default) keeps the historical bare ids so curves stay comparable
-    /// across PRs; heap cells get an explicit `_heap` marker.
-    fn sched_infix(&self) -> &'static str {
-        match self.sched {
-            Scheduler::Wheel => "",
-            Scheduler::Heap => "_heap",
-        }
-    }
 }
 
 /// One timed cell's raw results.
@@ -139,8 +149,7 @@ struct Cell {
     /// time is excluded.
     cpu: Option<f64>,
     /// Honest heap-allocation count for payload buffers:
-    /// `net.allocs + net.pool_misses` (a disabled pool records nothing,
-    /// so the sum is comparable across pooling modes; DESIGN.md §13).
+    /// `net.allocs + net.pool_misses` (DESIGN.md §13).
     allocs: u64,
     /// Total sends — every send classifies its payload's provenance
     /// exactly once, so the three provenance counters sum to it.
@@ -167,23 +176,23 @@ fn user_cpu_secs() -> Option<f64> {
 /// and are not reported.
 const MIN_CPU_WINDOW: f64 = 0.5;
 
+/// Builds one cell's population, with the hot-path profiler on or off.
+fn build_cell(stack: Stack, nodes: usize, shards: usize, profiling: bool, params: &Params) -> Sim {
+    let mut builder = NetBuilder::cluster(nodes, params.seed);
+    builder.sim = builder.sim.clone().with_shards(shards).with_profiling(profiling);
+    builder.key_cycle = Some(256);
+    match stack {
+        Stack::Pss => builder.build_pss(&NylonConfig::default()).sim,
+        Stack::Whisper => builder.build_whisper(|_| Box::new(NoApp)).sim,
+    }
+}
+
 /// Builds one cell's population and runs the timed simulation window,
 /// `params.reps` times; keeps the best wall / CPU timings.
-fn run_cell(stack: Stack, nodes: usize, shards: usize, pooling: bool, params: &Params) -> Cell {
+fn run_cell(stack: Stack, nodes: usize, shards: usize, params: &Params) -> Cell {
     let mut best: Option<Cell> = None;
     for _ in 0..params.reps.max(1) {
-        let mut builder = NetBuilder::cluster(nodes, params.seed);
-        builder.sim = builder
-            .sim
-            .clone()
-            .with_shards(shards)
-            .with_pooling(pooling)
-            .with_scheduler(params.sched);
-        builder.key_cycle = Some(256);
-        let mut sim = match stack {
-            Stack::Pss => builder.build_pss(&NylonConfig::default()).sim,
-            Stack::Whisper => builder.build_whisper(|_| Box::new(NoApp)).sim,
-        };
+        let mut sim = build_cell(stack, nodes, shards, false, params);
         let cpu0 = user_cpu_secs();
         let start = Instant::now();
         sim.run_for_secs(params.window_secs(nodes));
@@ -234,19 +243,7 @@ const PROF_BUCKETS: [&str; 7] = [
 /// timed one (the determinism suite runs with profiling enabled), so
 /// the breakdown attributes exactly the work the timed cell did.
 fn run_prof_cell(stack: Stack, nodes: usize, shards: usize, params: &Params) -> [u64; 7] {
-    let mut builder = NetBuilder::cluster(nodes, params.seed);
-    builder.sim = builder
-        .sim
-        .clone()
-        .with_shards(shards)
-        .with_pooling(true)
-        .with_scheduler(params.sched)
-        .with_profiling(true);
-    builder.key_cycle = Some(256);
-    let mut sim = match stack {
-        Stack::Pss => builder.build_pss(&NylonConfig::default()).sim,
-        Stack::Whisper => builder.build_whisper(|_| Box::new(NoApp)).sim,
-    };
+    let mut sim = build_cell(stack, nodes, shards, true, params);
     sim.run_for_secs(params.window_secs(nodes));
     let m = sim.metrics();
     let mut out = [0u64; 7];
@@ -265,12 +262,11 @@ pub fn run(stack: Stack, params: &Params) {
         &format!("{}-stack nodes-per-second vs. population and shard count", stack.name()),
     );
     println!(
-        "window={}s (20s at 50k+, 5s at 500k+) seed={} sched={:?} reps={} key_cycle=256 \
+        "window={}s (20s at 50k+, 5s at 500k+) seed={} reps={} key_cycle=256 \
          (wall-clock timing: host-dependent by design; cpu = user-mode CPU time, \
          immune to demand-paging jitter)",
         params.secs,
         params.seed,
-        params.sched,
         params.reps.max(1)
     );
     println!(
@@ -281,7 +277,7 @@ pub fn run(stack: Stack, params: &Params) {
     let mut best: Option<(usize, usize, f64)> = None;
     for &nodes in &params.nodes {
         for &shards in &params.shards {
-            let cell = run_cell(stack, nodes, shards, true, params);
+            let cell = run_cell(stack, nodes, shards, params);
             let secs = params.window_secs(nodes);
             let node_secs = nodes as f64 * secs as f64;
             let nodes_per_sec = node_secs / cell.wall.max(1e-9);
@@ -294,7 +290,7 @@ pub fn run(stack: Stack, params: &Params) {
                 cell.cpu.map_or("-".into(), |c| format!("{c:.2}")),
                 cpu_rate.map_or("-".into(), |r| format!("{r:.0}")),
             );
-            let id = format!("{}{}_n{nodes}_s{shards}", stack.name(), params.sched_infix());
+            let id = format!("{}_n{nodes}_s{shards}", stack.name());
             bench.record(format!("scaling/{id}_nodes_per_sec"), nodes_per_sec);
             bench.record(format!("scaling/{id}_allocs_per_send"), allocs_per_send);
             if let Some(r) = cpu_rate {
@@ -338,45 +334,5 @@ pub fn run(stack: Stack, params: &Params) {
             shards
         );
     }
-    bench.emit_json();
-}
-
-/// Payload-pool A/B: the same full-stack population and window with the
-/// pool on and off. Pooling is invisible to the simulated trace (the
-/// determinism suite proves byte-identical traces), so both runs do
-/// identical protocol work and the allocation counts are directly
-/// comparable. Records allocs-per-send for both modes plus the
-/// reduction ratio — the PR 7 acceptance number.
-pub fn run_allocs(params: &Params) {
-    report::banner(
-        "Allocations",
-        "payload-pool A/B: heap allocations per send, pooling on vs off",
-    );
-    let nodes = params.nodes.first().copied().unwrap_or(1000);
-    let secs = params.window_secs(nodes);
-    println!("whisper stack, {nodes} nodes, 1 shard, window={secs}s seed={}", params.seed);
-    let on = run_cell(Stack::Whisper, nodes, 1, true, params);
-    let off = run_cell(Stack::Whisper, nodes, 1, false, params);
-    assert_eq!(
-        on.sends, off.sends,
-        "pooling must not change how many messages the protocols send"
-    );
-    let per_on = on.allocs as f64 / on.sends.max(1) as f64;
-    let per_off = off.allocs as f64 / off.sends.max(1) as f64;
-    let reduction = per_off / per_on.max(1e-12);
-    println!(
-        "{:<10} {:>12} {:>14} {:>14}",
-        "pooling", "sends", "allocs", "allocs/send"
-    );
-    println!("{:<10} {:>12} {:>14} {:>14.4}", "on", on.sends, on.allocs, per_on);
-    println!("{:<10} {:>12} {:>14} {:>14.4}", "off", off.sends, off.allocs, per_off);
-    println!(
-        "allocs: pooled {per_on:.4} vs unpooled {per_off:.4} allocs/send \
-         ({reduction:.1}x reduction)"
-    );
-    let mut bench = Bench::new();
-    bench.record("allocs/whisper_pooled_allocs_per_send", per_on);
-    bench.record("allocs/whisper_unpooled_allocs_per_send", per_off);
-    bench.record("allocs/reduction_x", reduction);
     bench.emit_json();
 }

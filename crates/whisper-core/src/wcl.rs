@@ -29,6 +29,11 @@
 //! lost its circuit state silently drops the packet; the source's
 //! ordinary retry machinery then tears the stale route down and
 //! re-establishes over a fresh RSA onion.
+//!
+//! Circuits are always on; the paper's onion-per-packet path remains for
+//! destinations degraded after [`WclConfig::degrade_after`] consecutive
+//! unanswered attempts, until a response arrives or
+//! [`WclConfig::degrade_cooldown`] elapses.
 
 use whisper_rand::seq::SliceRandom;
 use whisper_rand::Rng;
@@ -129,10 +134,6 @@ pub struct WclConfig {
     pub retry_timeout: SimDuration,
     /// Maximum retries (Π in the paper).
     pub max_retries: usize,
-    /// Whether to amortize onion crypto over cached circuits (see module
-    /// docs). When `false`, every packet is a full RSA onion, exactly as
-    /// in the paper.
-    pub circuits: bool,
     /// How long a relay keeps a circuit alive. The source refreshes its
     /// cached route after half this, so a live conversation never races
     /// relay expiry.
@@ -172,7 +173,6 @@ impl Default for WclConfig {
             mixes: 2,
             retry_timeout: SimDuration::from_secs(2),
             max_retries: 3,
-            circuits: true,
             circuit_ttl: SimDuration::from_secs(120),
             circuit_capacity: 1024,
             adaptive_rto: true,
@@ -717,7 +717,7 @@ impl Wcl {
         // Steady-state fast path: a cached circuit carries the packet with
         // three CTR layers and zero RSA. Skipped when a retry is steering
         // away from specific mixes — those want a *different* path.
-        if self.cfg.circuits && !degraded && avoid_a.is_empty() && avoid_b.is_empty() {
+        if !degraded && avoid_a.is_empty() && avoid_b.is_empty() {
             let cached = self
                 .routes
                 .get(&dest.node)
@@ -860,11 +860,10 @@ impl Wcl {
 
         let cost_before = whisper_crypto::costs::snapshot();
         let build_started = std::time::Instant::now();
-        // With circuits enabled the onion doubles as circuit
-        // establishment: each layer carries that hop's link key and
-        // circuit ids. Degraded destinations get a plain onion — no
-        // circuit to lose.
-        let established = if self.cfg.circuits && !degraded {
+        // The onion doubles as circuit establishment: each layer carries
+        // that hop's link key and circuit ids. Degraded destinations get
+        // a plain onion — no circuit to lose.
+        let established = if !degraded {
             let (src_circuit, setups) = circuit::establish(path.len(), ctx.rng());
             Some((src_circuit, setups))
         } else {

@@ -28,11 +28,9 @@
 //!   the per-shard recycling pools that make the event hot path
 //!   allocation-lean (fan-out clones instead of copies, buffers reused
 //!   across events).
-//! * [`sched`] — the per-shard event schedulers: a reference binary
-//!   heap and a hierarchical calendar queue (timing-wheel buckets over
-//!   the sim clock plus an overflow tier), both popping in canonical
-//!   `(at, src, seq)` order so the choice is invisible to traces
-//!   (DESIGN.md §14).
+//! * [`sched`] — the per-shard event scheduler: a hierarchical calendar
+//!   queue (timing-wheel buckets over the sim clock plus an overflow
+//!   tier) popping in canonical `(at, src, seq)` order (DESIGN.md §14).
 //! * [`metrics`] — per-node bandwidth accounting and generic
 //!   counters/samples shared by the experiment harness.
 //! * [`stats`] — CDF / percentile helpers used to print the paper's plots.

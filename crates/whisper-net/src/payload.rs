@@ -27,12 +27,10 @@
 //! `net.pool_*` counters) are the one counter family that legitimately
 //! varies with the shard count, and why they are exempt from the
 //! determinism-trace comparison — exactly like the `*_wall_us` samples.
-//! Everything else (payload bytes, event order, and — for a fixed
-//! pooling mode — the `net.alloc*` / `net.payload_*` provenance
-//! counters) stays byte-identical for any shard count, and the delivered
-//! bytes are identical whether pooling is on or off. The provenance
-//! counters deliberately *differ* between pooling modes: that difference
-//! is the allocations-per-event measurement.
+//! Everything else (payload bytes, event order, and the `net.alloc*` /
+//! `net.payload_*` provenance counters) stays byte-identical for any
+//! shard count, even though each shard's pool recycles along its own
+//! history.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -67,11 +65,9 @@ impl Payload {
         Payload { buf: Arc::new(buf), pooled: false }
     }
 
-    /// Wraps a buffer whose storage came from a pool. `pooled` is false
-    /// when the owning pool is disabled, so A/B runs account the same
-    /// bytes as fresh allocations.
-    pub(crate) fn recycled(buf: Vec<u8>, pooled: bool) -> Self {
-        Payload { buf: Arc::new(buf), pooled }
+    /// Wraps a buffer whose storage came from a pool.
+    pub(crate) fn recycled(buf: Vec<u8>) -> Self {
+        Payload { buf: Arc::new(buf), pooled: true }
     }
 
     /// The payload bytes.
@@ -159,21 +155,14 @@ pub(crate) struct PoolStats {
 /// class. One per engine shard; never shared across shards or threads.
 #[derive(Debug)]
 pub struct PayloadPool {
-    enabled: bool,
     classes: Vec<Vec<Vec<u8>>>,
     stats: PoolStats,
 }
 
 impl PayloadPool {
-    /// Creates a pool. A disabled pool always misses and never retains —
-    /// the engine's `pooling: false` A/B mode.
-    pub fn new(enabled: bool) -> Self {
-        PayloadPool { enabled, classes: vec![Vec::new(); NUM_CLASSES], stats: PoolStats::default() }
-    }
-
-    /// Whether this pool retains and serves buffers.
-    pub fn enabled(&self) -> bool {
-        self.enabled
+    /// Creates an empty pool.
+    pub(crate) fn new() -> Self {
+        PayloadPool { classes: vec![Vec::new(); NUM_CLASSES], stats: PoolStats::default() }
     }
 
     /// Smallest class whose buffers are guaranteed to hold `len` bytes.
@@ -197,10 +186,9 @@ impl PayloadPool {
     /// Takes an empty buffer with capacity ≥ `min_capacity` when one is
     /// available (preferring the tightest size class), else allocates.
     ///
-    /// A disabled pool records no statistics: its allocations surface as
-    /// fresh-provenance payloads in the deterministic `net.allocs`
-    /// accounting instead, so the honest total heap-allocation figure is
-    /// always `net.allocs + net.pool_misses` with no double counting.
+    /// Misses surface in `net.pool_misses`, never as fresh-provenance
+    /// payloads, so the honest total heap-allocation figure is
+    /// `net.allocs + net.pool_misses` with no double counting.
     pub fn take(&mut self, min_capacity: usize) -> Vec<u8> {
         let start = Self::class_for_take(min_capacity);
         // Miss allocations are rounded up to their class's guarantee so a
@@ -208,19 +196,17 @@ impl PayloadPool {
         // scan first (an exact-size allocation would recycle one class
         // down and never be found again).
         let cap = min_capacity.max(MIN_CLASS_CAP << start);
-        if self.enabled {
-            // Tightest fitting class first, then larger ones. The top
-            // class is unbounded above, so a buffer served from it for an
-            // oversized request may still need to grow — harmless.
-            for class in start..NUM_CLASSES {
-                if let Some(buf) = self.classes[class].pop() {
-                    self.stats.hits += 1;
-                    return buf;
-                }
+        // Tightest fitting class first, then larger ones. The top class is
+        // unbounded above, so a buffer served from it for an oversized
+        // request may still need to grow — harmless.
+        for class in start..NUM_CLASSES {
+            if let Some(buf) = self.classes[class].pop() {
+                self.stats.hits += 1;
+                return buf;
             }
-            self.stats.misses += 1;
-            self.stats.miss_bytes += cap as u64;
         }
+        self.stats.misses += 1;
+        self.stats.miss_bytes += cap as u64;
         Vec::with_capacity(cap)
     }
 
@@ -233,9 +219,6 @@ impl PayloadPool {
     /// the only reference; otherwise the storage is simply dropped (or
     /// kept alive by its clones).
     pub fn recycle(&mut self, payload: Payload) {
-        if !self.enabled {
-            return;
-        }
         if payload.is_shared() {
             self.stats.drop_shared += 1;
             return;
@@ -282,11 +265,11 @@ mod tests {
 
     #[test]
     fn pool_round_trip_reuses_capacity() {
-        let mut pool = PayloadPool::new(true);
+        let mut pool = PayloadPool::new();
         let buf = pool.take(100);
         assert!(buf.capacity() >= 100);
         let cap = buf.capacity();
-        pool.recycle(Payload::recycled(buf, true));
+        pool.recycle(Payload::recycled(buf));
         let again = pool.take(100);
         assert_eq!(again.capacity(), cap, "same buffer came back");
         assert!(again.is_empty(), "recycled buffers are cleared");
@@ -298,8 +281,8 @@ mod tests {
 
     #[test]
     fn shared_payloads_are_never_recycled() {
-        let mut pool = PayloadPool::new(true);
-        let p = Payload::recycled(pool.take(64), true);
+        let mut pool = PayloadPool::new();
+        let p = Payload::recycled(pool.take(64));
         let clone = p.clone();
         pool.recycle(p);
         // The clone still sees its bytes; the buffer was not retained.
@@ -311,29 +294,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_allocates_and_records_nothing() {
-        let mut pool = PayloadPool::new(false);
-        let buf = pool.take(64);
-        pool.recycle(Payload::recycled(buf, false));
-        let again = pool.take(64);
-        assert!(again.capacity() >= 64);
-        // Allocations on a disabled pool are accounted as fresh payloads
-        // by the engine tally, never as pool misses.
-        let stats = pool.take_stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 0);
-        assert_eq!(stats.recycled, 0);
-    }
-
-    #[test]
     fn size_classes_fit_requests() {
         // A recycled large buffer must not be served for a request it
         // fits, unless its class guarantees the capacity.
-        let mut pool = PayloadPool::new(true);
+        let mut pool = PayloadPool::new();
         let mut big = pool.take(4096);
         big.extend_from_slice(&[0u8; 4096]);
         let big_cap = big.capacity();
-        pool.recycle(Payload::recycled(big, true));
+        pool.recycle(Payload::recycled(big));
         let served = pool.take(2048);
         assert!(served.capacity() >= 2048);
         assert_eq!(served.capacity(), big_cap, "larger class serves smaller need");

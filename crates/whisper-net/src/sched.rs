@@ -1,22 +1,20 @@
-//! Deterministic event schedulers for the discrete-event engine.
+//! The deterministic event scheduler for the discrete-event engine.
 //!
-//! Two interchangeable priority queues sit behind [`EventQueue`]:
+//! Every engine shard queues its events in one [`CalendarQueue`]: a
+//! hierarchical calendar queue (timing-wheel buckets over the discrete
+//! sim clock with an overflow heap for far-future timers) giving `O(1)`
+//! amortised push/pop on dense event streams.
 //!
-//! * [`Scheduler::Heap`] — the classic `BinaryHeap` (`O(log n)`
-//!   push/pop), kept as the reference implementation;
-//! * [`Scheduler::Wheel`] — a hierarchical calendar queue
-//!   ([`CalendarQueue`]): timing-wheel buckets over the discrete sim
-//!   clock with an overflow heap for far-future timers, giving `O(1)`
-//!   amortised push/pop on dense event streams.
-//!
-//! Both pop in exactly the same order — ascending by the canonical
-//! event key `(at µs, src, seq)` (see DESIGN.md §12/§14) — so the
-//! choice of scheduler is invisible to simulation traces. Keys must be
-//! unique; the engine guarantees this via per-source monotone `seq`
-//! counters. The determinism matrix in `tests/determinism.rs` diffs
-//! heap-vs-wheel traces byte for byte, and `tests/proptests.rs` drives
-//! randomized streams (same-instant ties, crash-deferral re-keys,
-//! far-future promotions) through both.
+//! Items pop in ascending order of the canonical event key
+//! `(at µs, src, seq)` (see DESIGN.md §12/§14) — exactly the order a
+//! binary heap over the same keys would produce, so the queue's bucket
+//! layout is invisible to simulation traces. Keys must be unique; the
+//! engine guarantees this via per-source monotone `seq` counters.
+//! `tests/proptests.rs` keeps a plain binary heap as the reference and
+//! drives randomized streams (same-instant ties, crash-deferral re-keys,
+//! far-future promotions) through both, and the determinism matrix in
+//! `tests/determinism.rs` diffs traces across shard counts byte for
+//! byte.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -34,31 +32,6 @@ pub trait Keyed {
     /// The item's scheduling key. Must be stable for the lifetime of
     /// the item while it sits in a queue, and unique per queue.
     fn key(&self) -> EventKey;
-}
-
-/// Which queue implementation an [`EventQueue`] uses.
-///
-/// Selected per simulation via `SimConfig::with_scheduler`; traces are
-/// byte-identical either way (asserted by the determinism matrix).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Reference `BinaryHeap` scheduler (`O(log n)` push/pop).
-    Heap,
-    /// Hierarchical calendar queue (`O(1)` amortised on dense streams).
-    Wheel,
-}
-
-impl Scheduler {
-    /// Parse a scheduler name as used by the bench `--sched` flag.
-    ///
-    /// Accepts `"heap"` and `"wheel"`; returns `None` otherwise.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "heap" => Some(Scheduler::Heap),
-            "wheel" => Some(Scheduler::Wheel),
-            _ => None,
-        }
-    }
 }
 
 /// Heap adapter ordering items by their canonical key (min via
@@ -321,76 +294,6 @@ impl<T: Keyed> Default for CalendarQueue<T> {
     }
 }
 
-/// The per-shard event queue: a [`Scheduler`]-selected priority queue
-/// popping items in ascending canonical-key order.
-pub struct EventQueue<T: Keyed> {
-    inner: Inner<T>,
-}
-
-enum Inner<T: Keyed> {
-    Heap(BinaryHeap<Reverse<ByKey<T>>>),
-    Wheel(CalendarQueue<T>),
-}
-
-impl<T: Keyed> EventQueue<T> {
-    /// An empty queue using the given scheduler.
-    pub fn new(sched: Scheduler) -> Self {
-        EventQueue {
-            inner: match sched {
-                Scheduler::Heap => Inner::Heap(BinaryHeap::new()),
-                Scheduler::Wheel => Inner::Wheel(CalendarQueue::new()),
-            },
-        }
-    }
-
-    /// Pre-size internal storage for an expected population of `n`
-    /// concurrently-queued items.
-    pub fn reserve(&mut self, n: usize) {
-        match &mut self.inner {
-            Inner::Heap(h) => h.reserve(n),
-            Inner::Wheel(w) => w.reserve(n),
-        }
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Heap(h) => h.len(),
-            Inner::Wheel(w) => w.len(),
-        }
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Insert an item.
-    pub fn push(&mut self, item: T) {
-        match &mut self.inner {
-            Inner::Heap(h) => h.push(Reverse(ByKey(item))),
-            Inner::Wheel(w) => w.push(item),
-        }
-    }
-
-    /// Remove and return the item with the smallest key.
-    pub fn pop(&mut self) -> Option<T> {
-        match &mut self.inner {
-            Inner::Heap(h) => h.pop().map(|Reverse(ByKey(item))| item),
-            Inner::Wheel(w) => w.pop(),
-        }
-    }
-
-    /// The smallest key queued, if any (`&mut` for the wheel's cursor
-    /// advance; see [`CalendarQueue::peek_key`]).
-    pub fn peek_key(&mut self) -> Option<EventKey> {
-        match &mut self.inner {
-            Inner::Heap(h) => h.peek().map(|r| r.0 .0.key()),
-            Inner::Wheel(w) => w.peek_key(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,26 +366,5 @@ mod tests {
         assert_eq!(q.pop(), Some(Item((50, 7, 0))));
         assert_eq!(q.pop(), Some(Item((50, 9, 0))));
         assert_eq!(q.pop(), Some(Item((60, 0, 0))));
-    }
-
-    #[test]
-    fn event_queue_variants_agree() {
-        let keys: Vec<EventKey> =
-            (0..500).map(|i| ((i * 7919) % 100_000, i % 5, i)).collect();
-        let mut heap = EventQueue::new(Scheduler::Heap);
-        let mut wheel = EventQueue::new(Scheduler::Wheel);
-        wheel.reserve(keys.len());
-        for &k in &keys {
-            heap.push(Item(k));
-            wheel.push(Item(k));
-        }
-        assert_eq!(heap.len(), wheel.len());
-        loop {
-            assert_eq!(heap.peek_key(), wheel.peek_key());
-            match (heap.pop(), wheel.pop()) {
-                (None, None) => break,
-                (a, b) => assert_eq!(a, b),
-            }
-        }
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! A [`Sim`] owns a population of protocol instances (one per simulated
 //! host) partitioned across one or more **shards**. Each shard owns an
-//! event queue (a calendar queue or a binary heap, selectable via
-//! [`SimConfig::with_scheduler`]; see [`crate::sched`]) and the arena of
+//! event queue (a calendar queue; see [`crate::sched`]) and the arena of
 //! per-node state, split SoA-style into dense hot flag/traffic arrays
 //! and cold slots (protocol box, NAT device, RNG streams). With
 //! `shards = 1` (the default) the engine is the classic single-queue
@@ -32,9 +31,9 @@
 //!   so each shard processes an identical event sequence regardless of
 //!   when its neighbours run.
 //! * Message bytes travel as reference-counted [`Payload`] buffers
-//!   recycled through shard-local pools ([`crate::payload`]); pooling is
-//!   invisible to the trace — only the exempt `net.pool_*` statistics
-//!   reflect it (DESIGN.md §13).
+//!   recycled through shard-local pools ([`crate::payload`]); buffer
+//!   reuse is invisible to the trace — only the exempt `net.pool_*`
+//!   statistics reflect it (DESIGN.md §13).
 //!
 //! See `DESIGN.md` §12 for the full algorithm and the rules code must
 //! follow to preserve the contract (no wall clock, no `HashMap`
@@ -51,7 +50,7 @@ use crate::latency::NetProfile;
 use crate::metrics::{Metrics, Traffic, HEADER_OVERHEAD};
 use crate::nat::{NatDevice, NatType};
 use crate::payload::{Payload, PayloadPool};
-use crate::sched::{EventKey, EventQueue, Keyed, Scheduler};
+use crate::sched::{CalendarQueue, EventKey, Keyed};
 use crate::time::{SimDuration, SimTime};
 use crate::wire::{WireEncode, WireWriter};
 use std::any::Any;
@@ -313,7 +312,7 @@ impl<'a> Ctx<'a> {
         let mut w = WireWriter::from_vec(self.pool.take(len));
         msg.encode(&mut w);
         debug_assert_eq!(w.len(), len, "encoded_len() disagrees with encode()");
-        let payload = Payload::recycled(w.into_bytes(), self.pool.enabled());
+        let payload = Payload::recycled(w.into_bytes());
         if let Some(t0) = t0 {
             self.prof.encode_ns += t0.elapsed().as_nanos() as u64;
         }
@@ -439,18 +438,6 @@ pub struct SimConfig {
     /// forces threads, `Some(false)` forces the sequential interleave.
     /// The choice never affects traces — it is pure wall-clock policy.
     pub threads: Option<bool>,
-    /// Whether shards recycle payload buffers through their
-    /// [`PayloadPool`] (default `true`). Purely a performance knob: the
-    /// trace is byte-identical with pooling on or off — only the exempt
-    /// `net.pool_*` statistics and the allocation-accounting counters
-    /// (`net.alloc*`, `net.payload_pooled`) reflect the setting.
-    pub pooling: bool,
-    /// Per-shard event-queue implementation (default
-    /// [`Scheduler::Wheel`], the hierarchical calendar queue). Both
-    /// schedulers pop in canonical key order, so the choice is pure
-    /// wall-clock policy — traces are byte-identical either way
-    /// (DESIGN.md §14).
-    pub scheduler: Scheduler,
     /// Expected final node count, used to pre-reserve per-shard arena,
     /// queue-bucket and exchange capacity at build time (0 = no
     /// pre-reservation). Purely a performance knob.
@@ -467,44 +454,27 @@ pub struct SimConfig {
 impl SimConfig {
     /// Cluster profile with the given seed.
     pub fn cluster(seed: u64) -> Self {
-        SimConfig {
-            seed,
-            profile: NetProfile::cluster(),
-            nat_lease: SimDuration::from_secs(7200),
-            shards: 1,
-            threads: None,
-            pooling: true,
-            scheduler: Scheduler::Wheel,
-            expected_nodes: 0,
-            profiling: false,
-        }
+        Self::from_profile(seed, NetProfile::cluster())
     }
 
     /// PlanetLab profile with the given seed.
     pub fn planetlab(seed: u64) -> Self {
-        SimConfig {
-            seed,
-            profile: NetProfile::planetlab(),
-            nat_lease: SimDuration::from_secs(7200),
-            shards: 1,
-            threads: None,
-            pooling: true,
-            scheduler: Scheduler::Wheel,
-            expected_nodes: 0,
-            profiling: false,
-        }
+        Self::from_profile(seed, NetProfile::planetlab())
     }
 
     /// Instant, lossless network for logic-focused tests.
     pub fn ideal(seed: u64) -> Self {
+        Self::from_profile(seed, NetProfile::ideal())
+    }
+
+    /// Defaults shared by every profile constructor.
+    fn from_profile(seed: u64, profile: NetProfile) -> Self {
         SimConfig {
             seed,
-            profile: NetProfile::ideal(),
+            profile,
             nat_lease: SimDuration::from_secs(7200),
             shards: 1,
             threads: None,
-            pooling: true,
-            scheduler: Scheduler::Wheel,
             expected_nodes: 0,
             profiling: false,
         }
@@ -521,21 +491,6 @@ impl SimConfig {
     /// [`SimConfig::threads`]).
     pub fn with_threads(mut self, threads: bool) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Returns the config with payload-buffer pooling on or off (see
-    /// [`SimConfig::pooling`]).
-    pub fn with_pooling(mut self, pooling: bool) -> Self {
-        self.pooling = pooling;
-        self
-    }
-
-    /// Returns the config with the given event-queue scheduler (see
-    /// [`SimConfig::scheduler`]). Traces are byte-identical for either
-    /// choice; this is the A/B knob for the `--sched` bench flag.
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -600,7 +555,7 @@ struct Shard {
     index: usize,
     nshards: u64,
     now: SimTime,
-    queue: EventQueue<Event>,
+    queue: CalendarQueue<Event>,
     slots: Vec<Slot>,
     /// Dense per-slot flag bytes ([`HOT_ALIVE`] | [`HOT_DOWN`] |
     /// [`HOT_PUBLIC`]), parallel to `slots`. Invariants: `HOT_DOWN` ⇔
@@ -631,7 +586,7 @@ struct Shard {
 impl Shard {
     fn new(index: usize, cfg: &SimConfig) -> Self {
         let nshards = cfg.shards as u64;
-        let mut queue = EventQueue::new(cfg.scheduler);
+        let mut queue = CalendarQueue::new();
         let mut slots = Vec::new();
         let mut hot = Vec::new();
         let mut traffic = Vec::new();
@@ -653,7 +608,7 @@ impl Shard {
             traffic,
             traffic_dirty: Vec::new(),
             metrics: Metrics::new(),
-            pool: PayloadPool::new(cfg.pooling),
+            pool: PayloadPool::new(),
             prof: ProfTally::new(cfg.profiling),
             outboxes: (0..cfg.shards).map(|_| Vec::new()).collect(),
             in_flight: 0,

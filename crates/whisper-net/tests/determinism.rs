@@ -11,7 +11,6 @@
 //! See `DESIGN.md` § "Determinism & randomness".
 
 use whisper_net::nat::NatType;
-use whisper_net::sched::Scheduler;
 use whisper_net::sim::{Ctx, Protocol, Sim, SimConfig};
 use whisper_net::{Endpoint, NodeId, Payload, SimDuration};
 use whisper_rand::{Rng, RngCore};
@@ -48,12 +47,14 @@ impl Protocol for Chatter {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let now = ctx.now().as_micros();
         self.log(b'T', now, &token.to_le_bytes());
-        // Fire a random-length payload of random bytes at a random peer.
+        // Fire a random-length payload of random bytes at a random peer,
+        // encoded into a buffer from the shard's payload pool, so every
+        // shard count recycles delivered buffers along its own history.
         let target = self.peers[ctx.rng().gen_range(0..self.peers.len())];
         let len = ctx.rng().gen_range(8..64usize);
         let mut payload = vec![0u8; len];
         ctx.rng().fill_bytes(&mut payload);
-        ctx.send_to(Endpoint::public(target), payload);
+        ctx.send_wire(Endpoint::public(target), &payload);
         let jitter = ctx.rng().gen_range(0..30_000u64);
         ctx.set_timer(SimDuration::from_micros(20_000 + jitter), token + 1);
     }
@@ -76,27 +77,11 @@ fn run_trace(seed: u64) -> Vec<u8> {
 /// [`run_trace`] with an explicit shard count and thread policy, for the
 /// shard-invariance matrix.
 fn run_trace_sharded(seed: u64, shards: usize, threaded: bool) -> Vec<u8> {
-    run_trace_configured(seed, shards, threaded, true)
+    serialize_chatter(&run_chatter(seed, shards, threaded))
 }
 
-/// [`run_trace_sharded`] with an explicit payload-pooling switch: like the
-/// shard count, buffer recycling is a performance knob the trace must not
-/// see (DESIGN.md §13).
-fn run_trace_configured(seed: u64, shards: usize, threaded: bool, pooling: bool) -> Vec<u8> {
-    run_trace_scheduled(seed, shards, threaded, pooling, Scheduler::Wheel)
-}
-
-/// [`run_trace_configured`] with an explicit event-queue scheduler: the
-/// calendar queue and the reference heap must pop in identical canonical
-/// key order, so the scheduler choice is a pure wall-clock knob
-/// (DESIGN.md §14).
-fn run_trace_scheduled(
-    seed: u64,
-    shards: usize,
-    threaded: bool,
-    pooling: bool,
-    sched: Scheduler,
-) -> Vec<u8> {
+/// Builds and runs the chatter mesh.
+fn run_chatter(seed: u64, shards: usize, threaded: bool) -> Sim {
     // Profiling stays ON for the whole matrix: the wall-clock buckets it
     // gathers land only in the exempt `prof.*` counters, so the trace must
     // not change with the profiler running (DESIGN.md §16).
@@ -104,8 +89,6 @@ fn run_trace_scheduled(
         SimConfig::planetlab(seed)
             .with_shards(shards)
             .with_threads(threaded)
-            .with_pooling(pooling)
-            .with_scheduler(sched)
             .with_profiling(true),
     );
     let peers: Vec<NodeId> = (0..16).map(NodeId).collect();
@@ -118,7 +101,11 @@ fn run_trace_scheduled(
         );
     }
     sim.run_for_secs(30);
+    sim
+}
 
+/// Serializes everything observable about a chatter run.
+fn serialize_chatter(sim: &Sim) -> Vec<u8> {
     let mut out = Vec::new();
     for id in sim.node_ids() {
         let chatter = sim.node::<Chatter>(id).expect("chatter node");
@@ -161,79 +148,31 @@ fn different_seed_differs() {
 /// count and thread policy are *performance knobs*, invisible to the
 /// trace. For every seed in the matrix, the 2- and 4-shard runs —
 /// sequential and threaded — must be byte-identical to the 1-shard run,
-/// including every counter and per-node traffic figure.
+/// including every counter and per-node traffic figure. Chatter sends
+/// through pooled buffers, so each shard count also reuses delivered
+/// buffers along a different shard-local history (DESIGN.md §13): any
+/// leak of a recycled buffer's old bytes shows up here.
 #[test]
 fn shard_count_is_invisible_to_the_trace() {
     for seed in [7u64, 11, 13] {
         let base = run_trace_sharded(seed, 1, false);
         assert!(!base.is_empty(), "seed {seed}: empty trace proves nothing");
         for shards in [2usize, 4] {
-            let sharded = run_trace_sharded(seed, shards, false);
-            assert!(
-                base == sharded,
-                "seed {seed}: {shards}-shard sequential trace diverged from 1-shard"
-            );
-        }
-        let threaded = run_trace_sharded(seed, 4, true);
-        assert!(
-            base == threaded,
-            "seed {seed}: 4-shard threaded trace diverged from 1-shard"
-        );
-    }
-}
-
-/// Payload pooling is a pure performance knob (DESIGN.md §13): recycling
-/// buffers between events must never be observable. Pool-on and pool-off
-/// runs — at one shard and at four — are byte-identical, including every
-/// delivered payload byte captured in the chatter traces.
-#[test]
-fn pooling_is_invisible_to_the_trace() {
-    for seed in [7u64, 11, 13] {
-        let pooled = run_trace_configured(seed, 1, false, true);
-        let unpooled = run_trace_configured(seed, 1, false, false);
-        assert!(!pooled.is_empty(), "seed {seed}: empty trace proves nothing");
-        assert!(
-            pooled == unpooled,
-            "seed {seed}: pool-off trace diverged from pool-on (buffer reuse leaked)"
-        );
-        let sharded_unpooled = run_trace_configured(seed, 4, true, false);
-        assert!(
-            pooled == sharded_unpooled,
-            "seed {seed}: 4-shard pool-off trace diverged from 1-shard pool-on"
-        );
-    }
-}
-
-/// The tentpole clause of DESIGN.md §14: the hierarchical calendar queue
-/// and the reference binary heap produce **byte-identical** traces for
-/// every seed in the matrix, at 1, 2 and 4 shards, sequential and
-/// threaded. Ties at the same instant, crash-deferral re-keys and
-/// far-future timers must all pop in the same canonical key order from
-/// either structure.
-#[test]
-fn scheduler_is_invisible_to_the_trace() {
-    for seed in [7u64, 11, 13] {
-        let base = run_trace_scheduled(seed, 1, false, true, Scheduler::Wheel);
-        assert!(!base.is_empty(), "seed {seed}: empty trace proves nothing");
-        for shards in [1usize, 2, 4] {
-            assert!(
-                base == run_trace_scheduled(seed, shards, false, true, Scheduler::Heap),
-                "seed {seed}: heap {shards}-shard sequential trace diverged from wheel"
-            );
-            if shards > 1 {
+            let sim = run_chatter(seed, shards, false);
+            if shards == 4 {
                 assert!(
-                    base == run_trace_scheduled(seed, shards, false, true, Scheduler::Wheel),
-                    "seed {seed}: wheel {shards}-shard sequential trace diverged"
-                );
-                assert!(
-                    base == run_trace_scheduled(seed, shards, true, true, Scheduler::Heap),
-                    "seed {seed}: heap {shards}-shard threaded trace diverged from wheel"
-                );
-                assert!(
-                    base == run_trace_scheduled(seed, shards, true, true, Scheduler::Wheel),
-                    "seed {seed}: wheel {shards}-shard threaded trace diverged"
+                    sim.metrics().counter("net.pool_hits") > 0,
+                    "seed {seed}: the 4-shard run never reused a pooled buffer"
                 );
             }
+            assert!(
+                base == serialize_chatter(&sim),
+                "seed {seed}: {shards}-shard sequential trace diverged from 1-shard"
+            );
+            assert!(
+                base == run_trace_sharded(seed, shards, true),
+                "seed {seed}: {shards}-shard threaded trace diverged from 1-shard"
+            );
         }
     }
 }
@@ -257,7 +196,6 @@ fn run_stack_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {
     use whisper_rand::SeedableRng;
 
     let cfg = WhisperConfig::default();
-    assert!(cfg.wcl.circuits, "circuit amortization is on by default");
     let mut keyrng = StdRng::seed_from_u64(seed);
     let mut sim = Sim::new(SimConfig::cluster(seed).with_shards(shards).with_profiling(true));
     let mk = |boot: bool, keyrng: &mut StdRng| {

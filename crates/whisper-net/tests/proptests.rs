@@ -5,7 +5,9 @@
 //! shrink-on-failure reporting.
 
 use whisper_net::nat::{NatDevice, NatType};
-use whisper_net::sched::{EventKey, EventQueue, Keyed, Scheduler};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use whisper_net::sched::{CalendarQueue, EventKey, Keyed};
 use whisper_net::stats::Cdf;
 use whisper_net::wire::{WireDecode, WireEncode, WireReader, WireWriter};
 use whisper_net::{Endpoint, NodeId, SimDuration, SimTime};
@@ -142,8 +144,10 @@ fn cdf_fraction_below_is_monotone() {
     });
 }
 
-/// A bare event key, for driving the schedulers without a full [`Event`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A bare event key, for driving the scheduler without a full [`Event`].
+/// The derived `Ord` is lexicographic on `(at, src, seq)` — the canonical
+/// key order — so a `BinaryHeap<Reverse<Item>>` is the reference queue.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Item(u64, u64, u64);
 
 impl Keyed for Item {
@@ -152,30 +156,30 @@ impl Keyed for Item {
     }
 }
 
-/// The scheduler-equivalence law behind the determinism contract
+/// The scheduler-ordering law behind the determinism contract
 /// (DESIGN.md §14): a randomized stream of pushes, pops and peeks —
 /// same-key-prefix ties, crash-deferral re-keys (same `(src, seq)`
 /// pushed again at a later time), and far-future timers that land in
 /// the calendar queue's overflow tier and must be promoted on idle
 /// jumps — produces byte-identical pop/peek sequences from the
-/// hierarchical calendar queue and the reference binary heap.
+/// hierarchical calendar queue and a plain reference binary heap.
 #[test]
 fn calendar_queue_matches_reference_heap() {
     check(96, "calendar_queue_matches_reference_heap", |g| {
-        let mut heap = EventQueue::new(Scheduler::Heap);
-        let mut wheel = EventQueue::new(Scheduler::Wheel);
+        let mut heap = BinaryHeap::new();
+        let mut wheel = CalendarQueue::new();
         wheel.reserve(64); // exercise the pre-reserve path too
         let mut now = 0u64; // time of the last pop; pushes never precede it
         let mut seq = 0u64;
         let mut ats: Vec<u64> = vec![0]; // previously used times, for exact ties
-        let push = |heap: &mut EventQueue<Item>,
-                        wheel: &mut EventQueue<Item>,
+        let push = |heap: &mut BinaryHeap<Reverse<Item>>,
+                        wheel: &mut CalendarQueue<Item>,
                         ats: &mut Vec<u64>,
                         at: u64,
                         src: u64,
                         seq: u64| {
             ats.push(at);
-            heap.push(Item(at, src, seq));
+            heap.push(Reverse(Item(at, src, seq)));
             wheel.push(Item(at, src, seq));
         };
         for _ in 0..g.gen_range(1..=160usize) {
@@ -213,8 +217,8 @@ fn calendar_queue_matches_reference_heap() {
                 // with the *same* `(src, seq)` — the engine's
                 // crash-deferral re-key.
                 _ => {
-                    assert_eq!(heap.peek_key(), wheel.peek_key());
-                    let (h, w) = (heap.pop(), wheel.pop());
+                    assert_eq!(heap.peek().map(|r| r.0.key()), wheel.peek_key());
+                    let (h, w) = (heap.pop().map(|r| r.0), wheel.pop());
                     assert_eq!(h, w, "pop order diverged");
                     assert_eq!(heap.len(), wheel.len());
                     if let Some(item) = h {
@@ -229,8 +233,8 @@ fn calendar_queue_matches_reference_heap() {
         }
         // Drain: every remaining item must come out in the same order.
         loop {
-            assert_eq!(heap.peek_key(), wheel.peek_key());
-            let (h, w) = (heap.pop(), wheel.pop());
+            assert_eq!(heap.peek().map(|r| r.0.key()), wheel.peek_key());
+            let (h, w) = (heap.pop().map(|r| r.0), wheel.pop());
             assert_eq!(h, w, "drain order diverged");
             if h.is_none() {
                 break;

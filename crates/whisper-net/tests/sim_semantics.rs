@@ -221,40 +221,30 @@ impl Protocol for WireTicker {
     }
 }
 
-/// The tentpole claim, asserted deterministically: with pooling on, the
-/// engine's honest heap-allocation figure (`net.allocs` for fresh
-/// payloads plus `net.pool_misses` for pool refills) collapses to a
-/// handful of warm-up allocations, while the delivered traffic is
-/// unchanged. Pool-off is the PR 6 baseline: one allocation per send.
+/// The allocation claim, asserted deterministically: the engine's honest
+/// heap-allocation figure (`net.allocs` for fresh payloads plus
+/// `net.pool_misses` for pool refills) collapses to a handful of warm-up
+/// allocations. The unpooled baseline is one allocation and 8 bytes (the
+/// encoded `u64`) per send, so both figures are held to ≥5× below it.
 #[test]
 fn pooling_slashes_allocations_per_event() {
-    fn run(pooling: bool) -> (u64, u64, (u64, u64)) {
-        let mut sim = Sim::new(SimConfig::cluster(21).with_pooling(pooling));
-        let sink = sim.add_node(Box::new(Recorder { received: Vec::new() }), NatType::Public);
-        for _ in 0..8 {
-            sim.add_node(Box::new(WireTicker { target: sink }), NatType::Public);
-        }
-        sim.run_for_secs(30);
-        let m = sim.metrics();
-        let allocs = m.counter("net.allocs") + m.counter("net.pool_misses");
-        let bytes = m.counter("net.alloc_bytes") + m.counter("net.pool_miss_bytes");
-        (allocs, bytes, traffic_totals(&sim))
+    let mut sim = Sim::new(SimConfig::cluster(21));
+    let sink = sim.add_node(Box::new(Recorder { received: Vec::new() }), NatType::Public);
+    for _ in 0..8 {
+        sim.add_node(Box::new(WireTicker { target: sink }), NatType::Public);
     }
-    let (allocs_on, bytes_on, traffic_on) = run(true);
-    let (allocs_off, bytes_off, traffic_off) = run(false);
-    assert_eq!(traffic_on, traffic_off, "pooling must not change delivery");
-    let (sent, delivered) = traffic_off;
+    sim.run_for_secs(30);
+    let m = sim.metrics();
+    let allocs = m.counter("net.allocs") + m.counter("net.pool_misses");
+    let bytes = m.counter("net.alloc_bytes") + m.counter("net.pool_miss_bytes");
+    let (sent, delivered) = traffic_totals(&sim);
     assert!(delivered > 4000, "workload too small to mean anything");
-    // Every pool-off send allocates; pool-on steady state recycles the
-    // delivery's buffer before the next send needs one.
-    assert_eq!(allocs_off, sent, "pool-off baseline is one alloc per send");
+    // Steady state recycles the delivery's buffer before the next send
+    // needs one.
+    assert!(allocs * 5 <= sent, "pooling must cut allocations ≥5×: {allocs} for {sent} sends");
     assert!(
-        allocs_on * 5 <= allocs_off,
-        "pooling must cut allocations ≥5×: {allocs_on} vs {allocs_off}"
-    );
-    assert!(
-        bytes_on * 5 <= bytes_off,
-        "pooling must cut allocated bytes ≥5×: {bytes_on} vs {bytes_off}"
+        bytes * 5 <= 8 * sent,
+        "pooling must cut allocated bytes ≥5×: {bytes} B for {sent} sends"
     );
 }
 

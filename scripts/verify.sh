@@ -45,7 +45,7 @@ step "rustdoc builds clean (no warnings; whisper-net denies missing docs)"
 # rustdoc lint classes (broken intra-doc links etc.) workspace-wide.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 
-step "scheduler/shard-matrix determinism (release: byte-identical traces, heap vs wheel x 1/2/4 shards, pool on+off, profiler on)"
+step "shard-matrix determinism (release: byte-identical traces, 1/2/4 shards sequential + threaded, shard-local pool reuse, profiler on)"
 cargo test -q --release --offline -p whisper-net --test determinism
 
 step "chaos acceptance suite (384 + 1k-node/4-shard, release, fixed seed matrix)"
@@ -69,8 +69,11 @@ cargo run -q --release --offline -p whisper-bench --bin fig5_biased_pss -- --sca
 step "100k-node smoke (release, single cell, pooled hot path)"
 cargo run -q --release --offline -p whisper-bench --bin fig5_biased_pss -- --scale --quick --nodes 100000 --shards 4 | grep '^scaling:'
 
-step "1M-node smoke (release, single cell, calendar-wheel scheduler, short window)"
-cargo run -q --release --offline -p whisper-bench --bin fig5_biased_pss -- --scale --nodes 1000000 --shards 4 --sched wheel | grep '^scaling:'
+step "1M-node smoke (release, single cell, short window)"
+cargo run -q --release --offline -p whisper-bench --bin fig5_biased_pss -- --scale --nodes 1000000 --shards 4 | grep '^scaling:'
+
+step "code size (non-blank src lines per crate)"
+scripts/loc.sh
 
 step "done"
 echo "verify: OK (total $((SECONDS - VERIFY_T0))s)"
