@@ -130,7 +130,7 @@ fn bench_bignum(c: &mut Bench) {
         let bytes_b: Vec<u8> = (0..limbs * 8).map(|_| rng.gen()).collect();
         let a = BigUint::from_bytes_be(&bytes_a);
         let b = BigUint::from_bytes_be(&bytes_b);
-        // `mul` dispatches to Karatsuba above the 48-limb threshold.
+        // Schoolbook at every width; 4096 bits is wider than any key.
         group.bench_function(format!("mul/{}bit", limbs * 64), |bench| {
             bench.iter(|| a.mul(&b))
         });

@@ -19,9 +19,9 @@
 //! Honesty note: wall-clock timing is host-dependent by design — this is
 //! the *one* experiment whose numbers may differ across machines. The
 //! simulated traces remain byte-identical for every cell (the
-//! determinism contract); only the wall seconds vary. On a single-core
-//! host the threaded path cannot beat sequential, so the shard curve is
-//! flat there; see EXPERIMENTS.md § "Scaling".
+//! determinism contract); only the wall seconds vary. Shards run one
+//! after another, so the shard curve measures what the sharded layout
+//! costs or saves, not parallel speed-up; see EXPERIMENTS.md § "Scaling".
 
 use std::time::Instant;
 

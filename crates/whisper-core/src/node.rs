@@ -117,11 +117,9 @@ impl WhisperApi<'_> {
 ///
 /// All callbacks receive a [`WhisperApi`] to interact with the stack.
 /// Default implementations do nothing, so applications override only what
-/// they need. Apps must be [`Send`] because the sharded simulator may run
-/// a node's callbacks on a worker thread (never two threads at once; see
-/// [`whisper_net::sim::Protocol`]).
+/// they need.
 #[allow(unused_variables)]
-pub trait GroupApp: Send + 'static {
+pub trait GroupApp: 'static {
     /// The node started.
     fn on_start(&mut self, ctx: &mut Ctx<'_>, api: &mut WhisperApi<'_>) {}
 

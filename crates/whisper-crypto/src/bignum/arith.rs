@@ -59,21 +59,9 @@ impl BigUint {
             .expect("BigUint subtraction underflow")
     }
 
-    /// Returns `self * other`.
-    ///
-    /// Dispatches to Karatsuba recursion for large operands and to
-    /// schoolbook multiplication otherwise.
+    /// Returns `self * other` (schoolbook, O(n²) in the limb count; RSA
+    /// operands are at most 32 limbs wide).
     pub fn mul(&self, other: &BigUint) -> BigUint {
-        if self.limbs.len() >= super::karatsuba::KARATSUBA_THRESHOLD
-            && other.limbs.len() >= super::karatsuba::KARATSUBA_THRESHOLD
-        {
-            return self.mul_karatsuba(other);
-        }
-        self.mul_schoolbook(other)
-    }
-
-    /// Schoolbook O(n²) product.
-    pub(crate) fn mul_schoolbook(&self, other: &BigUint) -> BigUint {
         if self.is_zero() || other.is_zero() {
             return BigUint::zero();
         }
@@ -93,19 +81,6 @@ impl BigUint {
                 k += 1;
             }
         }
-        BigUint::from_limbs(out)
-    }
-
-    /// Returns `self << (limbs * 64)` by prepending zero limbs — a single
-    /// allocation and `memcpy`, with none of the per-limb bit shifting
-    /// [`BigUint::shl`] pays for unaligned amounts. This is the shift
-    /// Karatsuba recombination needs.
-    pub(crate) fn shl_limbs(&self, limbs: usize) -> BigUint {
-        if self.is_zero() || limbs == 0 {
-            return self.clone();
-        }
-        let mut out = vec![0u64; limbs + self.limbs.len()];
-        out[limbs..].copy_from_slice(&self.limbs);
         BigUint::from_limbs(out)
     }
 

@@ -17,12 +17,12 @@
 //!   with host speed and are excluded from determinism traces).
 //!
 //! The accounting is thread-local and costs a few `Cell` updates per
-//! crypto operation. The sharded simulator may run protocol callbacks on
-//! worker threads, but every consumer takes a [`snapshot`] before and
-//! after a crypto operation *within one callback* — which never migrates
-//! threads mid-call — so the [`CryptoCosts::since`] deltas it feeds into
-//! metrics are exact on any thread. Absolute per-thread totals are not
-//! comparable across threads and nothing reads them directly.
+//! crypto operation. Every consumer takes a [`snapshot`] before and
+//! after a crypto operation *within one callback*, so the
+//! [`CryptoCosts::since`] deltas it feeds into metrics are exact on
+//! whichever thread runs it (the bench harness generates keys on several
+//! threads). Absolute per-thread totals are not comparable across
+//! threads and nothing reads them directly.
 
 use std::cell::Cell;
 

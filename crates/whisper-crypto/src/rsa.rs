@@ -107,6 +107,14 @@ const PUBLIC_EXPONENT: u64 = 65537;
 /// bytes, 1 separator.
 const PAD_OVERHEAD: usize = 11;
 
+/// Whether `bits` is the modulus width of one of the [`RsaKeySize`]s.
+/// Smaller moduli leave no room for PKCS#1 padding or a signature block.
+fn is_key_width(bits: usize) -> bool {
+    [RsaKeySize::Sim384, RsaKeySize::Sim512, RsaKeySize::Std1024, RsaKeySize::Std2048]
+        .iter()
+        .any(|size| size.bits() == bits)
+}
+
 impl KeyPair {
     /// Generates a fresh key pair of the given size.
     pub fn generate<R: Rng>(size: RsaKeySize, rng: &mut R) -> Self {
@@ -124,8 +132,8 @@ impl KeyPair {
     /// Derives the key pair of primes `p`, `q` and public exponent `e`:
     /// the private CRT exponents and the per-prime Montgomery contexts.
     /// Returns `None` if `p == q`, either prime is even or wider than
-    /// 2048 bits, `e` is not invertible modulo φ(n), or the modulus's bit
-    /// length is not a whole number of bytes.
+    /// 2048 bits, `e` is not invertible modulo φ(n), or the modulus is not
+    /// one of the [`RsaKeySize`] widths.
     fn from_primes(p: BigUint, q: BigUint, e: BigUint) -> Option<Self> {
         if p == q {
             return None;
@@ -137,7 +145,7 @@ impl KeyPair {
         let phi = p1.mul(&q1);
         let d = e.modinv(&phi)?;
         let n = p.mul(&q);
-        if !n.bits().is_multiple_of(8) {
+        if !is_key_width(n.bits()) {
             return None;
         }
         let dp = d.rem(&p1);
@@ -362,6 +370,12 @@ impl PublicKey {
     }
 
     /// Parses a key serialized by [`to_bytes`](Self::to_bytes).
+    ///
+    /// Keys arrive from untrusted peers, so only keys [`KeyPair::generate`]
+    /// can produce are accepted: an odd modulus of one of the
+    /// [`RsaKeySize`] widths and the public exponent 65537. Anything else
+    /// (a tiny modulus that would break the padding arithmetic, a huge
+    /// exponent that would make every encryption expensive) is `None`.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let n_len = u16::from_be_bytes([*bytes.first()?, *bytes.get(1)?]) as usize;
         let n_bytes = bytes.get(2..2 + n_len)?;
@@ -369,11 +383,15 @@ impl PublicKey {
         let e_len = u16::from_be_bytes([*rest.first()?, *rest.get(1)?]) as usize;
         let e_bytes = rest.get(2..2 + e_len)?;
         let n = BigUint::from_bytes_be(n_bytes);
-        if !n.bits().is_multiple_of(8) || n.is_zero() {
+        let bits = n.bits();
+        if !is_key_width(bits) || n.is_even() {
             return None;
         }
-        let k = n.bits() / 8;
-        Some(PublicKey::assemble(n, BigUint::from_bytes_be(e_bytes), k))
+        let e = BigUint::from_bytes_be(e_bytes);
+        if e.to_u64() != Some(PUBLIC_EXPONENT) {
+            return None;
+        }
+        Some(PublicKey::assemble(n, e, bits / 8))
     }
 
     /// Short (8-byte) SHA-256-based fingerprint, used as a compact key
@@ -398,6 +416,17 @@ mod tests {
 
     fn keypair() -> KeyPair {
         KeyPair::generate(RsaKeySize::Sim384, &mut rng())
+    }
+
+    /// The `len(n) ‖ n ‖ len(e) ‖ e` wire form of an arbitrary `(n, e)`.
+    fn encode_key(n: &BigUint, e: &BigUint) -> Vec<u8> {
+        let (n, e) = (n.to_bytes_be(), e.to_bytes_be());
+        let mut out = Vec::with_capacity(4 + n.len() + e.len());
+        out.extend_from_slice(&(n.len() as u16).to_be_bytes());
+        out.extend_from_slice(&n);
+        out.extend_from_slice(&(e.len() as u16).to_be_bytes());
+        out.extend_from_slice(&e);
+        out
     }
 
     #[test]
@@ -489,18 +518,9 @@ mod tests {
         // The cached blob must equal a from-scratch serialization of
         // (n, e) on every construction path: generate, parse, and
         // key-pair reload.
-        fn fresh_encode(key: &PublicKey) -> Vec<u8> {
-            let n = key.n.to_bytes_be();
-            let e = key.e.to_bytes_be();
-            let mut out = Vec::with_capacity(4 + n.len() + e.len());
-            out.extend_from_slice(&(n.len() as u16).to_be_bytes());
-            out.extend_from_slice(&n);
-            out.extend_from_slice(&(e.len() as u16).to_be_bytes());
-            out.extend_from_slice(&e);
-            out
-        }
         let kp = keypair();
-        assert_eq!(kp.public().wire_bytes(), fresh_encode(kp.public()).as_slice());
+        let fresh = encode_key(&kp.public().n, &kp.public().e);
+        assert_eq!(kp.public().wire_bytes(), fresh.as_slice());
         assert_eq!(kp.public().to_bytes(), kp.public().wire_bytes());
         let parsed = PublicKey::from_bytes(&kp.public().to_bytes()).unwrap();
         assert_eq!(parsed.wire_bytes(), kp.public().wire_bytes());
@@ -532,6 +552,9 @@ mod tests {
         // An even "prime" has no Montgomery context: rejected, not a panic
         // (p = 2, q = 67, e = 5 is otherwise a well-formed 8-bit key).
         assert!(KeyPair::from_bytes(&[0, 1, 2, 0, 1, 67, 0, 1, 5]).is_none());
+        // p = 3, q = 67, e = 5 is a valid 8-bit key pair, far too narrow to
+        // sign or encrypt with.
+        assert!(KeyPair::from_bytes(&[0, 1, 3, 0, 1, 67, 0, 1, 5]).is_none());
     }
 
     #[test]
@@ -539,6 +562,24 @@ mod tests {
         assert!(PublicKey::from_bytes(&[]).is_none());
         assert!(PublicKey::from_bytes(&[0xFF]).is_none());
         assert!(PublicKey::from_bytes(&[0x00, 0x10, 0x01]).is_none()); // truncated
+        // An 8-bit modulus leaves no room for PKCS#1 padding.
+        assert!(PublicKey::from_bytes(&[0, 1, 0xFF, 0, 1, 3]).is_none());
+        let kp = keypair();
+        let key = kp.public();
+        assert!(PublicKey::from_bytes(&encode_key(&key.n, &key.e)).is_some());
+        // A 4 KiB exponent would make every encryption cost milliseconds.
+        let huge_e = BigUint::from_bytes_be(&[0xFF; 4096]);
+        assert!(PublicKey::from_bytes(&encode_key(&key.n, &huge_e)).is_none());
+        assert!(PublicKey::from_bytes(&encode_key(&key.n, &BigUint::from(3u64))).is_none());
+        // Byte-aligned widths that are not a key size: 264 bits (k = 33,
+        // too short for a signature block) and 4096 bits.
+        let odd_264 = BigUint::from_bytes_be(&[0x81; 33]);
+        assert!(PublicKey::from_bytes(&encode_key(&odd_264, &key.e)).is_none());
+        let odd_4096 = BigUint::from_bytes_be(&[0x81; 512]);
+        assert!(PublicKey::from_bytes(&encode_key(&odd_4096, &key.e)).is_none());
+        // An even modulus is never an RSA key.
+        let even = key.n.add(&BigUint::one());
+        assert!(PublicKey::from_bytes(&encode_key(&even, &key.e)).is_none());
     }
 
     #[test]

@@ -184,9 +184,9 @@ impl FaultPlan {
 /// Engine-side runtime state for installed faults. Owned by the sim and
 /// shared read-only across shards; methods are called from the
 /// send/deliver paths. Mutable per-sender chain state (the Gilbert–Elliott
-/// `bad` flags) lives in the per-node arena slots, not here, so shards
-/// never contend on it.
-#[derive(Clone, Debug, Default)]
+/// `bad` flags) lives in the per-node arena slots, not here, so this
+/// state stays read-only while shards run.
+#[derive(Debug, Default)]
 pub(crate) struct FaultState {
     faults: Vec<Fault>,
 }

@@ -9,8 +9,8 @@
 //! * [`sim`] — a seeded, sharded, discrete-event engine. Protocols
 //!   implement [`sim::Protocol`] and interact with the world through
 //!   [`sim::Ctx`] (send packets, arm timers, record metrics). Nodes are
-//!   partitioned across shards that may run on worker threads; the shard
-//!   count and thread policy are pure performance knobs — the trace is
+//!   partitioned across shards that advance in lockstep lookahead
+//!   windows; the shard count is a pure layout knob — the trace is
 //!   byte-identical for any setting (the determinism contract,
 //!   DESIGN.md §12).
 //! * [`nat`] — per-node NAT device emulation with the four device types of
@@ -36,7 +36,7 @@
 //! * [`stats`] — CDF / percentile helpers used to print the paper's plots.
 //!
 //! Two runs with the same seed and the same driver program produce
-//! identical results — on one shard or eight, sequential or threaded.
+//! identical results — on one shard or eight.
 //!
 //! ```
 //! use whisper_net::sim::{Sim, SimConfig};

@@ -7,15 +7,15 @@
 //! and cold slots (protocol box, NAT device, RNG streams). With
 //! `shards = 1` (the default) the engine is the classic single-queue
 //! event loop; with more shards it advances in conservative lookahead
-//! windows bounded by the minimum cross-shard link latency, exchanging
-//! cross-shard sends as batched per-destination vectors at window
-//! barriers — sequentially or on a persistent worker-thread pool.
+//! windows bounded by the minimum cross-shard link latency, running the
+//! shards one after another and exchanging cross-shard sends as batched
+//! per-destination vectors at window barriers.
 //!
 //! # The determinism contract
 //!
 //! Two runs with the same seed produce **byte-identical traces and
-//! metrics for any shard count and any thread policy**. This holds
-//! because nothing trace-visible depends on partitioning:
+//! metrics for any shard count**. This holds because nothing
+//! trace-visible depends on partitioning:
 //!
 //! * Events are ordered by a canonical key `(time, source, sequence)`
 //!   where `source` is the originating node (or the control plane) and
@@ -54,9 +54,6 @@ use crate::sched::{CalendarQueue, EventKey, Keyed};
 use crate::time::{SimDuration, SimTime};
 use crate::wire::{WireEncode, WireWriter};
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Barrier, Mutex};
 use whisper_rand::rngs::StdRng;
 
 /// RNG stream lane for protocol randomness ([`Ctx::rng`]).
@@ -76,17 +73,14 @@ const CONTROL_SRC: u64 = 0;
 ///
 /// All callbacks receive a [`Ctx`] for interacting with the network.
 ///
-/// # Reentrancy and threading
+/// # Reentrancy
 ///
 /// Callbacks are never reentered: the engine runs at most one callback
-/// per node at a time, and effects recorded through [`Ctx`] are applied
-/// only after the callback returns — a message a callback sends can
-/// never be delivered (even to `self`) before that callback finishes.
-/// Implementations must be [`Send`] because a sharded simulation may run
-/// a node's callbacks on a worker thread; they never run on two threads
-/// concurrently, and a given node's callbacks always execute in
-/// deterministic event order.
-pub trait Protocol: Send {
+/// at a time, and effects recorded through [`Ctx`] are applied only
+/// after the callback returns — a message a callback sends can never be
+/// delivered (even to `self`) before that callback finishes. A given
+/// node's callbacks always execute in deterministic event order.
+pub trait Protocol {
     /// Invoked once when the node is added to the simulation.
     fn on_start(&mut self, ctx: &mut Ctx<'_>);
 
@@ -163,9 +157,9 @@ impl AllocTally {
 /// points. Like the `net.pool_*` family (and the `*_wall_us` samples),
 /// `prof.*` counters are host-side measurements and therefore **exempt
 /// from the determinism-trace comparison** — wall time legitimately
-/// varies with shard count, thread policy and machine load. Disabled
-/// (the default) the profiler costs one branch per event; nothing
-/// trace-visible ever depends on it either way.
+/// varies with shard count and machine load. Disabled (the default) the
+/// profiler costs one branch per event; nothing trace-visible ever
+/// depends on it either way.
 ///
 /// Bucket structure (see DESIGN.md §16):
 ///
@@ -433,11 +427,6 @@ pub struct SimConfig {
     /// `NodeId % shards`; traces are byte-identical for any value.
     /// Sharding requires `profile.min_delay() > 0`.
     pub shards: usize,
-    /// Thread policy for `shards > 1`: `None` (default) uses worker
-    /// threads only when the host has more than one CPU, `Some(true)`
-    /// forces threads, `Some(false)` forces the sequential interleave.
-    /// The choice never affects traces — it is pure wall-clock policy.
-    pub threads: Option<bool>,
     /// Expected final node count, used to pre-reserve per-shard arena,
     /// queue-bucket and exchange capacity at build time (0 = no
     /// pre-reservation). Purely a performance knob.
@@ -474,7 +463,6 @@ impl SimConfig {
             profile,
             nat_lease: SimDuration::from_secs(7200),
             shards: 1,
-            threads: None,
             expected_nodes: 0,
             profiling: false,
         }
@@ -484,13 +472,6 @@ impl SimConfig {
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "a simulation needs at least one shard");
         self.shards = shards;
-        self
-    }
-
-    /// Returns the config with an explicit thread policy (see
-    /// [`SimConfig::threads`]).
-    pub fn with_threads(mut self, threads: bool) -> Self {
-        self.threads = Some(threads);
         self
     }
 
@@ -574,8 +555,8 @@ struct Shard {
     /// Hot-path profiler buckets, drained into the exempt `prof.*`
     /// counters at metric sync points.
     prof: ProfTally,
-    /// Per-destination-shard outboxes for cross-shard sends, swapped
-    /// wholesale at window barriers (entry `index` is unused).
+    /// Per-destination-shard outboxes for cross-shard sends, drained in
+    /// place at window barriers (entry `index` is unused).
     outboxes: Vec<Vec<Event>>,
     /// Queued `Deliver` events (maintained incrementally; O(1) reads).
     in_flight: u64,
@@ -944,122 +925,6 @@ fn exchange_sequential(shards: &mut [Shard]) {
     }
 }
 
-/// Sentinel horizon value telling workers the run is over.
-const STOP: u64 = u64::MAX;
-
-/// Read-only run environment shipped to pooled workers (the engine's
-/// borrowed [`EngineEnv`], made `'static` by cloning).
-struct RunEnv {
-    cfg: SimConfig,
-    fault: FaultState,
-}
-
-/// Shared coordination state for one threaded run: the window barrier,
-/// the published horizon, per-shard local minima, per-destination inbox
-/// batch lists and the spare-vector pool for batch recycling.
-struct RunSync {
-    barrier: Barrier,
-    horizon: AtomicU64,
-    next_at: Vec<AtomicU64>,
-    /// Per-destination lists of cross-shard batches (one lock per
-    /// (src, dst) pair per window instead of one per event).
-    inboxes: Vec<Mutex<Vec<Vec<Event>>>>,
-    /// Drained batch vectors waiting for reuse; receivers return
-    /// capacity here, senders draw replacements from it.
-    spares: Mutex<Vec<Vec<Event>>>,
-    /// Fresh batch vectors created because `spares` ran dry (steady
-    /// state: zero).
-    fresh: AtomicU64,
-}
-
-/// One threaded run's work order: the worker's shard plus the shared
-/// environment and coordination state.
-struct Job {
-    shard: Shard,
-    env: Arc<RunEnv>,
-    sync: Arc<RunSync>,
-    index: usize,
-}
-
-/// A persistent engine worker: jobs go in, shards come back. The thread
-/// outlives individual `run_until` calls (and their windows), so a long
-/// simulation pays thread spawn cost once instead of per run.
-struct PoolWorker {
-    job_tx: Option<Sender<Job>>,
-    shard_rx: Receiver<Shard>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// The persistent worker pool for threaded sharded runs.
-struct WorkerPool {
-    workers: Vec<PoolWorker>,
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        for w in &mut self.workers {
-            w.job_tx.take(); // closing the channel ends the worker loop
-        }
-        for w in &mut self.workers {
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-/// Body of a pooled engine worker: run every window of a job's shard
-/// (identical event-processing protocol to the sequential loop), then
-/// hand the shard back and wait for the next job.
-fn worker_loop(job_rx: Receiver<Job>, shard_tx: Sender<Shard>) {
-    while let Ok(job) = job_rx.recv() {
-        let Job { mut shard, env, sync, index } = job;
-        let n = sync.next_at.len();
-        {
-            let eenv = EngineEnv { cfg: &env.cfg, fault: &env.fault };
-            loop {
-                sync.barrier.wait(); // window start: horizon published
-                let h = sync.horizon.load(Ordering::SeqCst);
-                if h == STOP {
-                    break;
-                }
-                shard.run_window(h, &eenv);
-                for dst in 0..n {
-                    if dst == index || shard.outboxes[dst].is_empty() {
-                        continue;
-                    }
-                    let replacement = {
-                        let mut spares = sync.spares.lock().expect("spares poisoned");
-                        spares.pop()
-                    }
-                    .unwrap_or_else(|| {
-                        sync.fresh.fetch_add(1, Ordering::Relaxed);
-                        Vec::new()
-                    });
-                    let batch = std::mem::replace(&mut shard.outboxes[dst], replacement);
-                    sync.inboxes[dst].lock().expect("inbox poisoned").push(batch);
-                }
-                sync.barrier.wait(); // all cross-shard sends flushed
-                let mine =
-                    std::mem::take(&mut *sync.inboxes[index].lock().expect("inbox poisoned"));
-                for mut batch in mine {
-                    shard.absorb(&mut batch);
-                    sync.spares.lock().expect("spares poisoned").push(batch);
-                }
-                sync.next_at[index].store(shard.head_us(), Ordering::SeqCst);
-                sync.barrier.wait(); // local minima published
-            }
-        }
-        // Release the shared state *before* returning the shard so the
-        // coordinator can reclaim the spare pool without contention.
-        drop(env);
-        drop(sync);
-        if shard_tx.send(shard).is_err() {
-            return;
-        }
-    }
-}
-
 /// The discrete-event simulator.
 pub struct Sim {
     cfg: SimConfig,
@@ -1076,16 +941,6 @@ pub struct Sim {
     control_seq: u64,
     /// Conservative lookahead window length in µs.
     lookahead_us: u64,
-    /// Whether `run_until` uses worker threads (trace-invariant).
-    threaded: bool,
-    /// Persistent worker threads for threaded runs (spawned lazily on
-    /// the first threaded `run_until`, reused across runs and windows).
-    worker_pool: Option<WorkerPool>,
-    /// Cross-shard batch vectors kept warm between threaded runs.
-    exchange_spares: Vec<Vec<Event>>,
-    /// Fresh exchange vectors created since the last metrics sync
-    /// (flushed to the `net.pool_exchange_fresh` counter).
-    exchange_fresh: u64,
 }
 
 impl Sim {
@@ -1106,10 +961,6 @@ impl Sim {
                  (the lookahead window would be empty)"
             );
         }
-        let threaded = cfg.shards > 1
-            && cfg.threads.unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1) > 1
-            });
         let harness_rng = StdRng::for_stream_lane(cfg.seed, 0, LANE_HARNESS);
         let shards = (0..cfg.shards).map(|i| Shard::new(i, &cfg)).collect();
         Sim {
@@ -1122,10 +973,6 @@ impl Sim {
             next_node_id: 0,
             control_seq: 0,
             lookahead_us,
-            threaded,
-            worker_pool: None,
-            exchange_spares: Vec::new(),
-            exchange_fresh: 0,
         }
     }
 
@@ -1342,8 +1189,6 @@ impl Sim {
                 shards[0].outboxes.iter().all(Vec::is_empty),
                 "a single shard cannot emit cross-shard events"
             );
-        } else if self.threaded {
-            self.run_until_threaded(deadline_us);
         } else {
             self.run_until_sequential(deadline_us);
         }
@@ -1364,9 +1209,9 @@ impl Sim {
         self.run_for(SimDuration::from_secs(secs));
     }
 
-    /// Sequential conservative-window loop: every shard processes the
-    /// current window in turn, then cross-shard sends are exchanged.
-    /// Byte-identical to the threaded loop.
+    /// Conservative-window loop: every shard processes the current
+    /// window in turn, then cross-shard sends are exchanged.
+    /// Byte-identical to the 1-shard loop (see the module docs).
     fn run_until_sequential(&mut self, deadline_us: u64) {
         let lookahead = self.lookahead_us;
         loop {
@@ -1384,83 +1229,6 @@ impl Sim {
             }
             exchange_sequential(&mut self.shards);
         }
-    }
-
-    /// Threaded conservative-window loop on the persistent worker pool:
-    /// each worker owns its shard for the duration of the run, with
-    /// three barrier crossings per window (process, exchange batches,
-    /// publish local minima). Event keys make queue contents
-    /// order-insensitive, so inbox arrival order cannot leak into the
-    /// trace; batch vectors recycle through the shared spare pool.
-    fn run_until_threaded(&mut self, deadline_us: u64) {
-        let n = self.shards.len();
-        self.ensure_worker_pool();
-        let lookahead = self.lookahead_us;
-        let next_at: Vec<AtomicU64> =
-            self.shards.iter_mut().map(|s| AtomicU64::new(s.head_us())).collect();
-        let env = Arc::new(RunEnv { cfg: self.cfg.clone(), fault: self.fault.clone() });
-        let sync = Arc::new(RunSync {
-            barrier: Barrier::new(n + 1),
-            horizon: AtomicU64::new(0),
-            next_at,
-            inboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            spares: Mutex::new(std::mem::take(&mut self.exchange_spares)),
-            fresh: AtomicU64::new(0),
-        });
-        let pool = self.worker_pool.as_ref().expect("pool ensured above");
-        for (index, shard) in std::mem::take(&mut self.shards).into_iter().enumerate() {
-            let job =
-                Job { shard, env: Arc::clone(&env), sync: Arc::clone(&sync), index };
-            pool.workers[index]
-                .job_tx
-                .as_ref()
-                .expect("pool alive")
-                .send(job)
-                .expect("worker alive");
-        }
-        // Coordinator: computes each window from the published minima.
-        loop {
-            let t_next =
-                sync.next_at.iter().map(|a| a.load(Ordering::SeqCst)).min().unwrap_or(STOP);
-            if t_next > deadline_us {
-                sync.horizon.store(STOP, Ordering::SeqCst);
-                sync.barrier.wait(); // release workers to observe STOP
-                break;
-            }
-            let h = t_next.saturating_add(lookahead).min(deadline_us.saturating_add(1));
-            sync.horizon.store(h, Ordering::SeqCst);
-            sync.barrier.wait(); // window start
-            sync.barrier.wait(); // sends flushed
-            sync.barrier.wait(); // minima published
-        }
-        self.shards = pool
-            .workers
-            .iter()
-            .map(|w| w.shard_rx.recv().expect("worker returns its shard"))
-            .collect();
-        self.exchange_fresh += sync.fresh.load(Ordering::SeqCst);
-        // Workers have dropped their Arc clones (before returning their
-        // shards), so the spare pool can be reclaimed for the next run.
-        self.exchange_spares =
-            std::mem::take(&mut *sync.spares.lock().expect("spares poisoned"));
-    }
-
-    /// Spawns the persistent worker pool if it does not exist yet (one
-    /// worker per shard).
-    fn ensure_worker_pool(&mut self) {
-        let n = self.cfg.shards;
-        if self.worker_pool.as_ref().is_some_and(|p| p.workers.len() == n) {
-            return;
-        }
-        let workers = (0..n)
-            .map(|_| {
-                let (job_tx, job_rx) = mpsc::channel::<Job>();
-                let (shard_tx, shard_rx) = mpsc::channel::<Shard>();
-                let handle = std::thread::spawn(move || worker_loop(job_rx, shard_tx));
-                PoolWorker { job_tx: Some(job_tx), shard_rx, handle: Some(handle) }
-            })
-            .collect();
-        self.worker_pool = Some(WorkerPool { workers });
     }
 
     /// Pushes a control-plane event (owned by `node`'s shard).
@@ -1490,10 +1258,6 @@ impl Sim {
     /// therefore exempt from the determinism-trace comparison (DESIGN.md
     /// §13), like the `*_wall_us` samples.
     fn sync_metrics(&mut self) {
-        if self.exchange_fresh > 0 {
-            self.metrics.count("net.pool_exchange_fresh", self.exchange_fresh);
-            self.exchange_fresh = 0;
-        }
         let deltas: Vec<Metrics> = self
             .shards
             .iter_mut()
@@ -1721,14 +1485,11 @@ mod tests {
     }
 
     /// The heart of the sharding contract: the same seed produces the
-    /// same trace for 1, 2 and 4 shards, sequential or threaded.
+    /// same trace for 1, 2 and 4 shards.
     #[test]
     fn sharded_run_matches_single_shard() {
-        fn run(shards: usize, threads: bool) -> (Vec<(&'static str, u64)>, Vec<u64>) {
-            let cfg = SimConfig::cluster(21)
-                .with_shards(shards)
-                .with_threads(threads)
-                .with_profiling(true);
+        fn run(shards: usize) -> (Vec<(&'static str, u64)>, Vec<u64>) {
+            let cfg = SimConfig::cluster(21).with_shards(shards).with_profiling(true);
             let mut sim = Sim::new(cfg);
             let hub = sim.add_node(Box::new(Pinger::new()), NatType::Public);
             for _ in 0..7 {
@@ -1759,10 +1520,9 @@ mod tests {
                 .collect();
             (counters, traffic)
         }
-        let base = run(1, false);
-        assert_eq!(base, run(2, false), "2 shards, sequential");
-        assert_eq!(base, run(4, false), "4 shards, sequential");
-        assert_eq!(base, run(4, true), "4 shards, threaded");
+        let base = run(1);
+        assert_eq!(base, run(2), "2 shards");
+        assert_eq!(base, run(4), "4 shards");
     }
 
     /// Profiling populates the `prof.*` buckets; leaving it off (the

@@ -4,7 +4,7 @@
 //! consult — wall-clock time never enters a trace-visible path (the
 //! determinism contract, DESIGN.md §12). Time is a plain `u64` count of
 //! microseconds since the start of the run; it advances exclusively by
-//! event delivery, identically for every shard count and thread policy.
+//! event delivery, identically for every shard count.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

@@ -71,26 +71,22 @@ impl Protocol for Chatter {
 /// profile (latency jitter + loss, so engine randomness shapes delivery)
 /// and returns the full serialized observable state.
 fn run_trace(seed: u64) -> Vec<u8> {
-    run_trace_sharded(seed, 1, false)
+    run_trace_sharded(seed, 1)
 }
 
-/// [`run_trace`] with an explicit shard count and thread policy, for the
-/// shard-invariance matrix.
-fn run_trace_sharded(seed: u64, shards: usize, threaded: bool) -> Vec<u8> {
-    serialize_chatter(&run_chatter(seed, shards, threaded))
+/// [`run_trace`] with an explicit shard count, for the shard-invariance
+/// matrix.
+fn run_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {
+    serialize_chatter(&run_chatter(seed, shards))
 }
 
 /// Builds and runs the chatter mesh.
-fn run_chatter(seed: u64, shards: usize, threaded: bool) -> Sim {
+fn run_chatter(seed: u64, shards: usize) -> Sim {
     // Profiling stays ON for the whole matrix: the wall-clock buckets it
     // gathers land only in the exempt `prof.*` counters, so the trace must
     // not change with the profiler running (DESIGN.md §16).
-    let mut sim = Sim::new(
-        SimConfig::planetlab(seed)
-            .with_shards(shards)
-            .with_threads(threaded)
-            .with_profiling(true),
-    );
+    let mut sim =
+        Sim::new(SimConfig::planetlab(seed).with_shards(shards).with_profiling(true));
     let peers: Vec<NodeId> = (0..16).map(NodeId).collect();
     for _ in 0..16u64 {
         // All nodes public so the chatter mesh is fully connected; the NAT
@@ -145,20 +141,19 @@ fn different_seed_differs() {
 }
 
 /// The determinism contract's strongest clause (DESIGN.md §12): the shard
-/// count and thread policy are *performance knobs*, invisible to the
-/// trace. For every seed in the matrix, the 2- and 4-shard runs —
-/// sequential and threaded — must be byte-identical to the 1-shard run,
-/// including every counter and per-node traffic figure. Chatter sends
-/// through pooled buffers, so each shard count also reuses delivered
-/// buffers along a different shard-local history (DESIGN.md §13): any
-/// leak of a recycled buffer's old bytes shows up here.
+/// count is a *layout knob*, invisible to the trace. For every seed in
+/// the matrix, the 2- and 4-shard runs must be byte-identical to the
+/// 1-shard run, including every counter and per-node traffic figure.
+/// Chatter sends through pooled buffers, so each shard count also reuses
+/// delivered buffers along a different shard-local history (DESIGN.md
+/// §13): any leak of a recycled buffer's old bytes shows up here.
 #[test]
 fn shard_count_is_invisible_to_the_trace() {
     for seed in [7u64, 11, 13] {
-        let base = run_trace_sharded(seed, 1, false);
+        let base = run_trace_sharded(seed, 1);
         assert!(!base.is_empty(), "seed {seed}: empty trace proves nothing");
         for shards in [2usize, 4] {
-            let sim = run_chatter(seed, shards, false);
+            let sim = run_chatter(seed, shards);
             if shards == 4 {
                 assert!(
                     sim.metrics().counter("net.pool_hits") > 0,
@@ -167,11 +162,7 @@ fn shard_count_is_invisible_to_the_trace() {
             }
             assert!(
                 base == serialize_chatter(&sim),
-                "seed {seed}: {shards}-shard sequential trace diverged from 1-shard"
-            );
-            assert!(
-                base == run_trace_sharded(seed, shards, true),
-                "seed {seed}: {shards}-shard threaded trace diverged from 1-shard"
+                "seed {seed}: {shards}-shard trace diverged from 1-shard"
             );
         }
     }
@@ -187,7 +178,7 @@ fn run_stack_trace(seed: u64) -> Vec<u8> {
     run_stack_trace_sharded(seed, 1)
 }
 
-/// [`run_stack_trace`] with an explicit shard count (auto thread policy),
+/// [`run_stack_trace`] with an explicit shard count,
 /// proving the full crypto stack rides the contract too.
 fn run_stack_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {
     use whisper_core::{WhisperConfig, WhisperNode};
@@ -293,7 +284,7 @@ fn run_fault_trace(seed: u64) -> Vec<u8> {
     run_fault_trace_sharded(seed, 1)
 }
 
-/// [`run_fault_trace`] with an explicit shard count (auto thread policy):
+/// [`run_fault_trace`] with an explicit shard count:
 /// crash/restart deferral, burst chains and drop attribution are applied
 /// shard-locally and must not leak the partitioning.
 fn run_fault_trace_sharded(seed: u64, shards: usize) -> Vec<u8> {

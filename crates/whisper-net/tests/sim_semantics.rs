@@ -119,7 +119,7 @@ fn removing_receiver_mid_flight_drops_cleanly() {
 #[test]
 fn removal_during_in_flight_delivery_keeps_accounting_exact() {
     for shards in [1usize, 4] {
-        let mut sim = Sim::new(SimConfig::planetlab(6).with_shards(shards).with_threads(false));
+        let mut sim = Sim::new(SimConfig::planetlab(6).with_shards(shards));
         let sink = sim.add_node(Box::new(Recorder { received: Vec::new() }), NatType::Public);
         sim.add_node(Box::new(Burst { target: sink, count: 300 }), NatType::Public);
         sim.run_for(SimDuration::from_millis(20));
@@ -245,37 +245,6 @@ fn pooling_slashes_allocations_per_event() {
     assert!(
         bytes * 5 <= 8 * sent,
         "pooling must cut allocated bytes ≥5×: {bytes} B for {sent} sends"
-    );
-}
-
-/// Cross-shard exchange batches are recycled through a shared spare-vector
-/// pool: the threaded engine draws fresh vectors only while the pool warms
-/// up (`net.pool_exchange_fresh`), then reuses them forever. The sequential
-/// path swaps batches in place and cannot allocate by construction, so the
-/// threaded path is the one worth pinning down.
-#[test]
-fn steady_state_exchange_allocations_are_zero() {
-    let mut sim = Sim::new(
-        SimConfig::cluster(33)
-            .with_shards(4)
-            .with_threads(true) // force the pooled path even on 1 CPU
-            .with_expected_nodes(16),
-    );
-    let sink = sim.add_node(Box::new(Recorder { received: Vec::new() }), NatType::Public);
-    for _ in 0..12 {
-        sim.add_node(Box::new(Ticker { target: sink, sent: 0 }), NatType::Public);
-    }
-    sim.run_for_secs(10);
-    let warm = sim.metrics().counter("net.pool_exchange_fresh");
-    assert!(warm > 0, "threaded exchange must draw fresh vectors during warm-up");
-    let (_, delivered_warm) = traffic_totals(&sim);
-    sim.run_for_secs(60);
-    let steady = sim.metrics().counter("net.pool_exchange_fresh");
-    let (_, delivered) = traffic_totals(&sim);
-    assert!(delivered > delivered_warm, "measurement epoch must carry traffic");
-    assert_eq!(
-        steady, warm,
-        "steady-state cross-shard exchange must recycle batches, not allocate"
     );
 }
 

@@ -45,7 +45,7 @@ step "rustdoc builds clean (no warnings; whisper-net denies missing docs)"
 # rustdoc lint classes (broken intra-doc links etc.) workspace-wide.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 
-step "shard-matrix determinism (release: byte-identical traces, 1/2/4 shards sequential + threaded, shard-local pool reuse, profiler on)"
+step "shard-matrix determinism (release: byte-identical traces, 1/2/4 shards sequential, shard-local pool reuse, profiler on)"
 cargo test -q --release --offline -p whisper-net --test determinism
 
 step "chaos acceptance suite (384 + 1k-node/4-shard, release, fixed seed matrix)"

@@ -295,13 +295,12 @@ fn members_not_trivially_identifiable_by_message_counts() {
 fn live_stack_payloads_opaque_to_third_parties() {
     // This uses a tapped protocol wrapper to capture every delivered
     // datagram at every node.
-    use std::sync::{Arc, Mutex};
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use whisper::net::sim::{Ctx, Protocol};
     use whisper::net::Endpoint;
 
-    // Arc<Mutex<…>> rather than Rc<RefCell<…>>: `Protocol` requires
-    // `Send` since the engine grew sharded (threaded) execution.
-    type WireLog = Arc<Mutex<Vec<(NodeId, Vec<u8>)>>>;
+    type WireLog = Rc<RefCell<Vec<(NodeId, Vec<u8>)>>>;
 
     struct Tap {
         inner: WhisperNode,
@@ -318,7 +317,7 @@ fn live_stack_payloads_opaque_to_third_parties() {
             ep: Endpoint,
             data: &whisper::net::Payload,
         ) {
-            self.log.lock().unwrap().push((ctx.id(), data.to_vec()));
+            self.log.borrow_mut().push((ctx.id(), data.to_vec()));
             self.inner.on_message(ctx, from, ep, data);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -333,7 +332,7 @@ fn live_stack_payloads_opaque_to_third_parties() {
     }
 
     let cfg = WhisperConfig::default();
-    let log: WireLog = Arc::new(Mutex::new(Vec::new()));
+    let log: WireLog = Rc::new(RefCell::new(Vec::new()));
     let mut key_rng = StdRng::seed_from_u64(5);
     let mut sim = Sim::new(SimConfig::cluster(5));
     let dist = NatDistribution::paper_default();
@@ -375,7 +374,7 @@ fn live_stack_payloads_opaque_to_third_parties() {
     // Scan everything every node received: the secret may appear in the
     // clear nowhere. (It reaches the recipient only *after* onion
     // decryption, which the tap — sitting on the wire — never sees.)
-    let log = log.lock().unwrap();
+    let log = log.borrow();
     assert!(!log.is_empty());
     for (node, bytes) in log.iter() {
         let leaked = bytes
